@@ -26,7 +26,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,54 +39,7 @@
 #include "vod/service.hpp"
 #include "workload/session_workload.hpp"
 
-// Global allocation counter; compiled out under ASan (the sanitizer owns
-// the allocator there), same contract as perf_core.
-#if defined(__SANITIZE_ADDRESS__)
-#define FTVOD_COUNTING_ALLOC 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define FTVOD_COUNTING_ALLOC 0
-#endif
-#endif
-#ifndef FTVOD_COUNTING_ALLOC
-#define FTVOD_COUNTING_ALLOC 1
-#endif
-
-namespace {
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-#if FTVOD_COUNTING_ALLOC
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_alloc_count;
-  const auto align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif  // FTVOD_COUNTING_ALLOC
+#include "testing/counting_alloc.hpp"
 
 namespace {
 
@@ -228,7 +180,7 @@ CityResult run_city(const CityConfig& cfg) {
     return sum;
   };
 
-  const std::uint64_t allocs0 = g_alloc_count;
+  const std::uint64_t allocs0 = testing::alloc_count;
   const std::uint64_t events0 = dep.scheduler().executed_events();
   const std::uint64_t frames0 = frames_sent();
   const auto t0 = Clock::now();
@@ -236,7 +188,7 @@ CityResult run_city(const CityConfig& cfg) {
   r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   r.events = dep.scheduler().executed_events() - events0;
   r.frames = frames_sent() - frames0;
-  r.allocs = g_alloc_count - allocs0;
+  r.allocs = testing::alloc_count - allocs0;
   r.placement_adds = controller.stats().adds;
   r.placement_removes = controller.stats().drops;
   r.invariant_checks = monitor.checks_run();

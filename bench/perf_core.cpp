@@ -26,7 +26,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <sstream>
 #include <string>
 
@@ -34,69 +33,10 @@
 #include "sim/scheduler.hpp"
 #include "vod/service.hpp"
 
-// ---- global allocation counter ---------------------------------------------
-// Every path through ::operator new lands here, including the std::function
-// control blocks and shared_ptr wrappers the hot path may create. Counting
-// is branch-free and cheap enough not to distort the timing comparison.
-//
-// Under AddressSanitizer the global allocator belongs to ASan: replacing it
-// with raw malloc/free would strip redzones and poisoning from every heap
-// object in the binary, gutting the sanitizer run. A sanitized build
-// (-DFTVOD_SANITIZE=address;undefined) therefore compiles the hooks out and
-// reports zero allocator traffic — its numbers are for crash-hunting, not
-// for the perf record.
-
-#if defined(__SANITIZE_ADDRESS__)
-#define FTVOD_COUNTING_ALLOC 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define FTVOD_COUNTING_ALLOC 0
-#endif
-#endif
-#ifndef FTVOD_COUNTING_ALLOC
-#define FTVOD_COUNTING_ALLOC 1
-#endif
-
-namespace {
-std::uint64_t g_alloc_count = 0;
-std::uint64_t g_alloc_bytes = 0;
-}  // namespace
-
-#if FTVOD_COUNTING_ALLOC
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_alloc_count;
-  g_alloc_bytes += n;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                   (n + static_cast<std::size_t>(a) - 1) /
-                                       static_cast<std::size_t>(a) *
-                                       static_cast<std::size_t>(a))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif  // FTVOD_COUNTING_ALLOC
+// Every path through ::operator new is counted, including the
+// std::function control blocks and shared_ptr wrappers the hot path may
+// create; a sanitized build reports zero allocator traffic (see the header).
+#include "testing/counting_alloc.hpp"
 
 namespace {
 
@@ -145,8 +85,8 @@ MicroResult run_micro(std::uint64_t target_events) {
   sched.run();
 
   remaining = target_events;
-  const std::uint64_t allocs0 = g_alloc_count;
-  const std::uint64_t bytes0 = g_alloc_bytes;
+  const std::uint64_t allocs0 = ftvod::testing::alloc_count;
+  const std::uint64_t bytes0 = ftvod::testing::alloc_bytes;
   const std::uint64_t events0 = sched.executed_events();
   const auto t0 = Clock::now();
   arm();
@@ -154,8 +94,8 @@ MicroResult run_micro(std::uint64_t target_events) {
   MicroResult r;
   r.wall_s = seconds_since(t0);
   r.events = sched.executed_events() - events0;
-  r.allocs = g_alloc_count - allocs0;
-  r.alloc_bytes = g_alloc_bytes - bytes0;
+  r.allocs = ftvod::testing::alloc_count - allocs0;
+  r.alloc_bytes = ftvod::testing::alloc_bytes - bytes0;
   return r;
 }
 
@@ -203,8 +143,8 @@ MacroResult run_macro(int n_servers, int n_clients, double sim_seconds) {
   r.servers = n_servers;
   r.clients = n_clients;
   r.sim_s = sim_seconds;
-  const std::uint64_t allocs0 = g_alloc_count;
-  const std::uint64_t bytes0 = g_alloc_bytes;
+  const std::uint64_t allocs0 = ftvod::testing::alloc_count;
+  const std::uint64_t bytes0 = ftvod::testing::alloc_bytes;
   const std::uint64_t events0 = dep.scheduler().executed_events();
   const std::uint64_t frames0 = frames_sent();
   const auto t0 = Clock::now();
@@ -212,8 +152,8 @@ MacroResult run_macro(int n_servers, int n_clients, double sim_seconds) {
   r.wall_s = seconds_since(t0);
   r.events = dep.scheduler().executed_events() - events0;
   r.frames = frames_sent() - frames0;
-  r.allocs = g_alloc_count - allocs0;
-  r.alloc_bytes = g_alloc_bytes - bytes0;
+  r.allocs = ftvod::testing::alloc_count - allocs0;
+  r.alloc_bytes = ftvod::testing::alloc_bytes - bytes0;
   return r;
 }
 

@@ -7,9 +7,7 @@
 // these tests, not just the benchmark.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <vector>
 
 #include "net/network.hpp"
@@ -18,58 +16,13 @@
 #include "util/rng.hpp"
 #include "vod/wire.hpp"
 
-// Under AddressSanitizer the global allocator belongs to ASan: replacing
-// it with raw malloc/free would strip redzones from every heap object in
-// the binary. A sanitized build compiles the hooks out; the handle-safety
-// and throughput assertions still run, only the allocation counts become
-// vacuous (and are skipped).
-#if defined(__SANITIZE_ADDRESS__)
-#define FTVOD_COUNTING_ALLOC 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define FTVOD_COUNTING_ALLOC 0
-#endif
-#endif
-#ifndef FTVOD_COUNTING_ALLOC
-#define FTVOD_COUNTING_ALLOC 1
-#endif
+// Under AddressSanitizer the counting hooks compile out; the handle-safety
+// and throughput assertions still run, only the allocation counts are
+// skipped.
+#include "testing/counting_alloc.hpp"
 
-namespace {
-std::uint64_t g_allocs = 0;
-constexpr bool kCountingAlloc = FTVOD_COUNTING_ALLOC != 0;
-}
-
-#if FTVOD_COUNTING_ALLOC
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
-  const auto align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif  // FTVOD_COUNTING_ALLOC
+using ftvod::testing::alloc_count;
+using ftvod::testing::kCountingAlloc;
 
 namespace ftvod::sim {
 namespace {
@@ -182,11 +135,11 @@ TEST(SchedulerSlab, SteadyStateTimerLoopAllocationFree) {
   };
   timer.arm(10, [&] { tick(); });
   sched.run_until(sched.now() + 10'000);  // warmup: slab + heap high-water
-  const std::uint64_t allocs_before = g_allocs;
+  const std::uint64_t allocs_before = alloc_count;
   const std::uint64_t fired_before = fired;
   sched.run_until(sched.now() + 100'000);
   EXPECT_GT(fired, fired_before + 1'000);
-  if (kCountingAlloc) EXPECT_EQ(g_allocs - allocs_before, 0u);
+  if (kCountingAlloc) EXPECT_EQ(alloc_count - allocs_before, 0u);
 }
 
 // The acceptance path of the allocation-free core: scheduler arm -> wire
@@ -218,11 +171,11 @@ TEST(SchedulerSlab, FrameSendPathAllocationFree) {
   timer.arm(33'000, [&] { tick(); });
 
   sched.run_until(sched.now() + sec(5.0));  // warmup: writer + buffer pool
-  const std::uint64_t allocs_before = g_allocs;
+  const std::uint64_t allocs_before = alloc_count;
   const std::uint64_t frames_before = frames_received;
   sched.run_until(sched.now() + sec(30.0));
   EXPECT_GT(frames_received, frames_before + 800);
-  if (kCountingAlloc) EXPECT_EQ(g_allocs - allocs_before, 0u);
+  if (kCountingAlloc) EXPECT_EQ(alloc_count - allocs_before, 0u);
 }
 
 }  // namespace
