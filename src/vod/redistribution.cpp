@@ -1,6 +1,7 @@
 #include "vod/redistribution.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 namespace ftvod::vod {
 
@@ -84,19 +85,16 @@ Assignment rebalance(const Assignment& current,
   return out;
 }
 
-net::NodeId choose_for_new_client(const Assignment& current,
-                                  const std::vector<net::NodeId>& servers) {
+net::NodeId choose_for_new_client(const std::vector<net::NodeId>& servers,
+                                  const std::vector<std::size_t>& load) {
   if (servers.empty()) return net::kInvalidNode;
-  std::map<net::NodeId, std::size_t> load;
-  for (net::NodeId s : servers) load[s] = 0;
-  for (const auto& [client, owner] : current) {
-    if (auto it = load.find(owner); it != load.end()) ++it->second;
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < servers.size(); ++i) {
+    if (std::tie(load[i], servers[i]) < std::tie(load[best], servers[best])) {
+      best = i;
+    }
   }
-  net::NodeId best = servers.front();
-  for (net::NodeId s : servers) {
-    if (load[s] < load[best] || (load[s] == load[best] && s < best)) best = s;
-  }
-  return best;
+  return servers[best];
 }
 
 }  // namespace ftvod::vod

@@ -44,10 +44,11 @@ Assignment rebalance(const Assignment& current,
                      const std::vector<net::NodeId>& servers,
                      RebalancePolicy policy = RebalancePolicy::kSpread);
 
-/// Chooses the server that must serve a brand-new client, given the current
-/// per-server session counts. Deterministic: least-loaded, ties to the
-/// lowest node id. Returns net::kInvalidNode when `servers` is empty.
-net::NodeId choose_for_new_client(const Assignment& current,
-                                  const std::vector<net::NodeId>& servers);
+/// Chooses the server that must serve a brand-new client; `load[i]` is the
+/// number of clients `servers[i]` currently serves. Deterministic:
+/// least-loaded, ties to the lowest node id. Returns net::kInvalidNode when
+/// `servers` is empty.
+net::NodeId choose_for_new_client(const std::vector<net::NodeId>& servers,
+                                  const std::vector<std::size_t>& load);
 
 }  // namespace ftvod::vod

@@ -146,68 +146,63 @@ void VodServer::handle_open_request(const wire::OpenRequest& req) {
 
   // Duplicate open (client retry): if we already serve it, re-send the
   // reply; if someone else owns it, stay silent.
+  auto cit = ms.clients.try_emplace(req.client_id).first;
   if (Session* existing = find_session(req.client_id)) {
-    ms.open_deferrals.erase(req.client_id);
+    cit->second.deferrals = 0;
     wire::OpenReply reply{req.client_id, req.movie, ms.movie->fps(),
                           ms.movie->frame_count(),
                           ms.movie->avg_frame_bytes()};
     existing->member->send(wire::encode(reply));
     return;
   }
-  // A client that had to ask twice in a row is provably unserved: a served
-  // client never retries (the branch above re-sends the reply on the first
-  // retry, and its owner's periodic syncs erase this counter at every
-  // peer). One full retry interval without a session anywhere means the
-  // owner tables are lying — either a stale claim on a live peer (nobody
-  // believes they should serve), or an election over divergent tables in
-  // which no member picked itself. Both deadlock without this: divergent
-  // fallback rebalances keep the tables disagreeing, and every retry just
-  // replays the same silent outcome. The rescue must not depend on those
-  // tables (their divergence is the very failure being repaired): the
-  // lowest-id member of the movie-group view serves, a choice every member
-  // computes identically from the view alone. The counter survives until a
-  // session exists, so a lost rescue retries on the next ask.
+  // A second ask in a row proves the client unserved: a served client never
+  // retries twice (the branch above re-sends the reply, and its owner's
+  // periodic syncs clear the count at every peer). The tables are lying —
+  // a stale claim on a live peer, or an election over divergent tables in
+  // which no member picked itself — and every retry would replay the same
+  // silent outcome. So the rescue ignores the tables: the lowest-id member
+  // of the view serves, a choice every member computes from the view alone.
+  // The count outlives a forgotten claim, so a lost rescue retries.
+  const std::vector<net::NodeId>& view = ms.view_servers;
   bool rescue = false;
-  if (++ms.open_deferrals[req.client_id] >= 2) {
-    ms.open_deferrals.erase(req.client_id);
-    ms.records.erase(req.client_id);
-    ms.owners.erase(req.client_id);
-    ms.absent_counts.erase(req.client_id);
-    if (!ms.view_servers.empty() &&
-        ms.view_servers.front() != daemon_->self()) {
+  if (++cit->second.deferrals >= 2) {
+    if (!view.empty() && view.front() != daemon_->self()) {
+      ms.clients.erase(cit);
       return;  // the rescuer's copy of this same request opens
     }
+    cit->second = Client{};  // the table lied about this client: start over
     rescue = true;
-  } else if (ms.owners.contains(req.client_id) &&
-             std::binary_search(ms.view_servers.begin(),
-                                ms.view_servers.end(),
-                                ms.owners[req.client_id]) &&
-             ms.owners[req.client_id] != daemon_->self()) {
+  } else if (const auto& claim = cit->second.claim;
+             claim && claim->owner != daemon_->self() &&
+             std::binary_search(view.begin(), view.end(), claim->owner)) {
     return;  // first ask: defer to the believed live owner
   }
 
   // Every holder of the movie sees the same (totally ordered) request and
   // the same table, so this choice needs no extra agreement round.
-  const std::vector<net::NodeId> servers =
-      ms.view_servers.empty() ? std::vector<net::NodeId>{daemon_->self()}
-                              : ms.view_servers;
-  const net::NodeId chosen =
-      rescue ? daemon_->self() : choose_for_new_client(ms.owners, servers);
+  net::NodeId chosen = daemon_->self();
+  if (!rescue && !view.empty()) {
+    std::vector<std::size_t> load(view.size());
+    for (const auto& [id, c] : ms.clients) {
+      if (!c.claim) continue;
+      const auto v =
+          std::lower_bound(view.begin(), view.end(), c.claim->owner);
+      if (v != view.end() && *v == c.claim->owner) ++load[v - view.begin()];
+    }
+    chosen = choose_for_new_client(view, load);
+  }
 
-  wire::ClientRecord rec;
-  rec.client_id = req.client_id;
-  rec.data_endpoint = req.data_endpoint;
-  rec.next_frame = 0;
-  rec.rate_fps = params_.default_rate_fps;
-  rec.quality_fps = req.capability_fps;
-  rec.capability_fps = req.capability_fps;
-  ms.records[req.client_id] = rec;
-  ms.owners[req.client_id] = chosen;
-
+  Client& client = cit->second;
+  client.claim = Client::Claim{{.client_id = req.client_id,
+                                .data_endpoint = req.data_endpoint,
+                                .rate_fps = params_.default_rate_fps,
+                                .quality_fps = req.capability_fps,
+                                .capability_fps = req.capability_fps},
+                               chosen};
   if (chosen == daemon_->self()) {
-    ms.open_deferrals.erase(req.client_id);
+    client.deferrals = 0;
     ++stats_.sessions_opened;
-    open_session(rec, ms.movie, /*is_takeover=*/false);
+    open_session(client.claim->rec, ms.movie, /*is_takeover=*/false);
   }
 }
 
@@ -239,9 +234,9 @@ void VodServer::apply_state_sync(net::NodeId from, const wire::StateSync& s) {
     // A table-exchange message for a redistribution round.
     if (from != daemon_->self()) {
       for (const wire::ClientRecord& rec : s.clients) {
-        ms.records[rec.client_id] = rec;
-        ms.owners[rec.client_id] = from;
-        ms.absent_counts.erase(rec.client_id);
+        Client& c = ms.clients[rec.client_id];
+        c.claim = Client::Claim{rec, from};
+        c.absent = 0;
       }
     }
     if (ms.rebalance_pending && s.exchange_tag == ms.exchange_tag) {
@@ -259,13 +254,13 @@ void VodServer::apply_state_sync(net::NodeId from, const wire::StateSync& s) {
   // absence is NOT enough: a sync built just before a session opened (or
   // during a hand-off) would otherwise erase a live client's record and
   // orphan it. Absence must persist across two consecutive syncs.
-  std::set<std::uint64_t> reported;
+  const std::uint64_t stamp = ++ms.syncs_applied;
   for (const wire::ClientRecord& rec : s.clients) {
-    reported.insert(rec.client_id);
-    ms.records[rec.client_id] = rec;
-    ms.owners[rec.client_id] = from;
-    ms.absent_counts.erase(rec.client_id);
-    ms.open_deferrals.erase(rec.client_id);
+    Client& c = ms.clients[rec.client_id];
+    c.claim = Client::Claim{rec, from};
+    c.absent = 0;
+    c.deferrals = 0;
+    c.reported_in = stamp;
 
     // Conflict repair: divergent fallback rebalances can leave two members
     // both streaming to the same client, and nothing else ever closes the
@@ -276,32 +271,29 @@ void VodServer::apply_state_sync(net::NodeId from, const wire::StateSync& s) {
     const Session* local = find_session(rec.client_id);
     if (from < daemon_->self() && local != nullptr &&
         local->movie->name() == s.movie) {
-      if (++ms.conflict_counts[rec.client_id] >= 3) {
-        ms.conflict_counts.erase(rec.client_id);
+      if (++c.conflicts >= 3) {
+        c.conflicts = 0;
         ++stats_.migrations_out;
         util::log_info(kLog, "server n", daemon_->self(), " yields client ",
                        rec.client_id, " to n", from);
         close_session(rec.client_id, /*client_gone=*/false);
       }
     } else {
-      ms.conflict_counts.erase(rec.client_id);
+      c.conflicts = 0;
     }
   }
-  for (auto oit = ms.owners.begin(); oit != ms.owners.end();) {
-    if (oit->second == from && !reported.contains(oit->first)) {
+  for (auto cit = ms.clients.begin(); cit != ms.clients.end();) {
+    Client& c = cit->second;
+    if (c.claim && c.claim->owner == from && c.reported_in != stamp) {
       // The claimant dropped this client, so any ownership conflict is
       // over — the yield counter must only ever see *consecutive* claims.
-      ms.conflict_counts.erase(oit->first);
-      if (++ms.absent_counts[oit->first] >= 2) {
-        ms.records.erase(oit->first);
-        ms.absent_counts.erase(oit->first);
-        oit = ms.owners.erase(oit);
-        continue;
-      }
+      c.conflicts = 0;
+      // The second miss forgets the claim but not a pending deferral count:
+      // a lost rescue must still retry on the client's next ask.
+      if (++c.absent >= 2) c = Client{.claim = {}, .deferrals = c.deferrals};
     }
-    ++oit;
+    cit = c.claim || c.deferrals > 0 ? std::next(cit) : ms.clients.erase(cit);
   }
-
 }
 
 void VodServer::on_movie_group_view(const std::string& movie,
@@ -353,20 +345,28 @@ void VodServer::rebalance_now(const std::string& movie, bool authoritative) {
   if (!ms.rebalance_pending) return;
   ms.rebalance_pending = false;
   ms.rebalance_timer.cancel();
-  ms.conflict_counts.clear();  // the new assignment supersedes old conflicts
   ++stats_.rebalances;
 
-  const Assignment next =
-      rebalance(ms.owners, ms.view_servers, params_.rebalance_policy);
-  ms.last_rebalance = RebalanceSnapshot{ms.exchange_tag, authoritative,
-                                        ms.view_servers, ms.owners, next};
+  Assignment owners;
+  for (auto& [client, c] : ms.clients) {
+    c.conflicts = 0;  // the new assignment supersedes old conflicts
+    if (c.claim) owners.emplace_hint(owners.end(), client, c.claim->owner);
+  }
+  Assignment next =
+      rebalance(owners, ms.view_servers, params_.rebalance_policy);
   for (const auto& [client, owner] : next) {
+    // Looked up afresh: opening or closing a session can deliver group
+    // messages synchronously, and those may change the table.
+    const auto cit = ms.clients.find(client);
+    if (cit == ms.clients.end() || !cit->second.claim) continue;
+    Client::Claim& claim = *cit->second.claim;
+    claim.owner = owner;
     const bool serving = session_index_.contains(client);
     if (owner == daemon_->self() && !serving) {
       ++stats_.takeovers;
       util::log_info(kLog, "server n", daemon_->self(), " takes over client ",
-                     client, " at frame ", ms.records[client].next_frame);
-      open_session(ms.records[client], ms.movie, /*is_takeover=*/true);
+                     client, " at frame ", claim.rec.next_frame);
+      open_session(claim.rec, ms.movie, /*is_takeover=*/true);
     } else if (owner != daemon_->self() && serving) {
       ++stats_.migrations_out;
       util::log_info(kLog, "server n", daemon_->self(), " hands client ",
@@ -374,7 +374,9 @@ void VodServer::rebalance_now(const std::string& movie, bool authoritative) {
       close_session(client, /*client_gone=*/false);
     }
   }
-  ms.owners = next;
+  ms.last_rebalance =
+      RebalanceSnapshot{ms.exchange_tag, authoritative, ms.view_servers,
+                        std::move(owners), std::move(next)};
 }
 
 const RebalanceSnapshot* VodServer::rebalance_snapshot(
@@ -408,14 +410,13 @@ void VodServer::open_session(const wire::ClientRecord& rec,
         std::make_unique<Session>(*sched_, params_.emergency_decay));
   }
   Session* s = session_slab_[slot].get();
-  s->in_use = true;
   s->eq.reset();
   s->burst_base = 0;
   s->next_decay_at = 0;
   s->finished = false;
   s->quality.reset();
   s->rec = rec;
-  // Resume at the last-heard rate (Â§5.2), but never below the default: a
+  // Resume at the last-heard rate (§5.2), but never below the default: a
   // takeover that resumes slower than real time can only drain the client
   // further, and the flow-control loop would take seconds to say so.
   if (is_takeover) {
@@ -457,7 +458,6 @@ void VodServer::close_session(std::uint64_t client_id, bool client_gone) {
   s.send_timer.cancel();
   s.member.reset();  // leaves the session group
   s.quality.reset();
-  s.in_use = false;
   const std::string movie = s.movie->name();
   s.movie.reset();
   session_index_.erase(it);
@@ -468,11 +468,12 @@ void VodServer::close_session(std::uint64_t client_id, bool client_gone) {
         lit != ls.end()) {
       ls.erase(lit);
     }
+    auto& clients = mit->second->clients;
     if (client_gone) {
-      mit->second->records.erase(client_id);
-      mit->second->owners.erase(client_id);
+      clients.erase(client_id);
+    } else if (auto cit = clients.find(client_id); cit != clients.end()) {
+      cit->second.deferrals = 0;
     }
-    mit->second->open_deferrals.erase(client_id);
   }
 }
 
@@ -512,9 +513,6 @@ void VodServer::on_session_message(std::uint64_t client_id,
         ++stats_.malformed_dropped;
         return;
       }
-      // §4.1: while the emergency quantity is greater than zero, the server
-      // ignores all flow control requests — including repeated emergencies,
-      // which would otherwise re-inflate the burst and overflow the client.
       // §4.1: while the emergency quantity is greater than zero, the
       // server ignores repeated requests of the same (or lesser) severity —
       // a re-send would re-inflate the burst and overflow the client. An

@@ -128,31 +128,33 @@ class VodServer {
     /// The emergency quantity decays when the send loop passes this time.
     sim::Time next_decay_at = 0;
     bool finished = false;  // reached the end of the movie
-    bool in_use = false;    // slab slot occupancy
+  };
+
+  /// One entry of a movie's shared client table (§5.2). The counters drive
+  /// the repair rules for tables that diverged (DESIGN §5.6).
+  struct Client {
+    struct Claim {
+      wire::ClientRecord rec;  // as last synced
+      net::NodeId owner = net::kInvalidNode;
+    };
+    /// Only claims feed the re-distribution and the load counts. Empty when
+    /// the entry survives only for its deferral count (until the next sweep
+    /// after that count is cleared).
+    std::optional<Claim> claim;
+    int absent = 0;     // owner syncs in a row that left it out: forget at 2
+    int conflicts = 0;  // lower-id claims in a row on our session: yield at 3
+    int deferrals = 0;  // asks in a row deferred to a live peer: rescue at 2
+    std::uint64_t reported_in = 0;  // syncs_applied of the last one naming it
   };
 
   struct MovieState {
     explicit MovieState(sim::Scheduler& sched) : rebalance_timer(sched) {}
     std::shared_ptr<const mpeg::Movie> movie;
     std::unique_ptr<gcs::GroupMember> member;  // movie group
-    /// Last-synced record per client watching this movie (self + remote).
-    std::map<std::uint64_t, wire::ClientRecord> records;
-    /// Last known owner per client.
-    Assignment owners;
-    /// Consecutive owner-syncs that failed to report a client.
-    std::map<std::uint64_t, int> absent_counts;
-    /// Consecutive syncs in which a lower-id member claimed a client this
-    /// server is also streaming to. Divergent fallback rebalances can leave
-    /// two members believing they own the same client; after the count
-    /// passes a small threshold the higher-id member yields, restoring the
-    /// single-server invariant deterministically.
-    std::map<std::uint64_t, int> conflict_counts;
-    /// Consecutive OpenRequests deferred to a live peer the owner table
-    /// claims is serving the client. A genuinely served client never asks
-    /// twice (the owner re-sends its reply on the first retry), so a second
-    /// ask proves the claim is stale — divergent fallback rebalances can
-    /// otherwise strand a client with every member deferring to another.
-    std::map<std::uint64_t, int> open_deferrals;
+    /// Every client watching this movie (self + remote), by id.
+    std::map<std::uint64_t, Client> clients;
+    /// Periodic syncs from peers applied so far (stamps `reported_in`).
+    std::uint64_t syncs_applied = 0;
     /// Redistribution round state for the current group view. A round is
     /// identified by the exchange tag (derived from the group view); every
     /// member rebalances when it has delivered the tagged table of every

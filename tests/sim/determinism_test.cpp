@@ -16,6 +16,12 @@ struct RunResult {
   std::uint64_t skipped = 0;
   std::uint64_t late = 0;
   std::uint64_t wire_bytes = 0;
+  // Server counters, summed over both servers (the crashed one included).
+  std::uint64_t sessions_opened = 0;
+  std::uint64_t takeovers = 0;
+  std::uint64_t migrations_out = 0;
+  std::uint64_t rebalances = 0;
+  std::uint64_t frames_sent = 0;
 
   bool operator==(const RunResult&) const = default;
 };
@@ -48,7 +54,49 @@ RunResult run_scenario(std::uint64_t seed) {
   r.skipped = client.counters().skipped;
   r.late = client.counters().late;
   r.wire_bytes = dep.network().total_wire_bytes();
+  for (const auto& sn : dep.servers()) {
+    const ServerStats& st = sn->server->stats();
+    r.sessions_opened += st.sessions_opened;
+    r.takeovers += st.takeovers;
+    r.migrations_out += st.migrations_out;
+    r.rebalances += st.rebalances;
+    r.frames_sent += st.frames_sent;
+  }
   return r;
+}
+
+// run_scenario(12345) as recorded when this guard was added. The two-run
+// tests below only compare a binary with itself, so a change to seeded
+// behaviour between commits passes them; this one does not. Change these
+// values only in a commit that means to change seeded behaviour (protocol
+// decisions, timer phases, event order) and says so.
+constexpr RunResult kPinned{
+    .events = 13681,
+    .received = 995,
+    .displayed = 897,
+    .skipped = 12,
+    .late = 14,
+    .wire_bytes = 6065525,
+    .sessions_opened = 1,
+    .takeovers = 1,
+    .migrations_out = 0,
+    .rebalances = 5,
+    .frames_sent = 995,
+};
+
+TEST(Determinism, SeededRunMatchesPinnedCounts) {
+  const RunResult r = run_scenario(12345);
+  EXPECT_EQ(r.events, kPinned.events);
+  EXPECT_EQ(r.received, kPinned.received);
+  EXPECT_EQ(r.displayed, kPinned.displayed);
+  EXPECT_EQ(r.skipped, kPinned.skipped);
+  EXPECT_EQ(r.late, kPinned.late);
+  EXPECT_EQ(r.wire_bytes, kPinned.wire_bytes);
+  EXPECT_EQ(r.sessions_opened, kPinned.sessions_opened);
+  EXPECT_EQ(r.takeovers, kPinned.takeovers);
+  EXPECT_EQ(r.migrations_out, kPinned.migrations_out);
+  EXPECT_EQ(r.rebalances, kPinned.rebalances);
+  EXPECT_EQ(r.frames_sent, kPinned.frames_sent);
 }
 
 TEST(Determinism, SameSeedBitIdentical) {

@@ -1,5 +1,6 @@
 // Server behaviour through the full stack: open-request arbitration, state
-// sync semantics, table-exchange determinism, catalog changes.
+// sync semantics, table-exchange determinism, catalog changes, and the
+// client table's repair rules.
 #include <gtest/gtest.h>
 
 #include "../integration/vod_testbed.hpp"
@@ -146,6 +147,235 @@ TEST(ServerBehavior, SyncAbsenceToleranceKeepsFreshClients) {
     EXPECT_EQ(bed.serving_server() >= 0, true) << "seed " << seed;
     EXPECT_GT(bed.client().counters().displayed, 300u) << "seed " << seed;
   }
+}
+
+// ---------------------------------------------------------- repair rules
+//
+// Each server's client table carries three repair rules for tables that
+// diverged (server.hpp, VodServer::Client). The tests below put exactly the
+// claims a rule reacts to into one real server's table through a scripted
+// movie-group member.
+
+constexpr const char* kRepairMovie = "feature";
+
+/// A periodic sync (`exchange_tag` 0) or table answer in which the sender
+/// claims exactly `clients`.
+util::Bytes claim_sync(std::uint64_t exchange_tag,
+                       const std::vector<std::uint64_t>& clients) {
+  wire::StateSync s;
+  s.movie = kRepairMovie;
+  s.exchange_tag = exchange_tag;
+  for (std::uint64_t id : clients) {
+    wire::ClientRecord rec;
+    rec.client_id = id;
+    rec.rate_fps = 30.0;
+    s.clients.push_back(rec);
+  }
+  return wire::encode(s);
+}
+
+/// A movie-group member that is not a server: it joins the movie group on
+/// its own daemon and multicasts only the periodic syncs a test scripts. It
+/// answers every table exchange with its current claims, so each of the real
+/// server's re-distributions is authoritative.
+class ScriptedPeer {
+ public:
+  ScriptedPeer(gcs::Daemon& daemon, std::vector<std::uint64_t> claims)
+      : claims_(std::move(claims)) {
+    member_ = daemon.join(
+        movie_group_name(kRepairMovie),
+        gcs::GroupCallbacks{
+            [this](const gcs::GcsEndpoint& from,
+                   std::span<const std::byte> d) {
+              if (!member_ || from == member_->endpoint()) return;
+              const auto sync = wire::decode_state_sync(d);
+              if (sync && sync->exchange_tag != 0 &&
+                  sync->exchange_tag != answered_) {
+                answered_ = sync->exchange_tag;
+                member_->send(claim_sync(answered_, claims_));
+              }
+            },
+            nullptr});
+  }
+
+  /// Claims exactly `clients` from now on and multicasts a periodic sync.
+  void sync(std::vector<std::uint64_t> clients) {
+    claims_ = std::move(clients);
+    member_->send(claim_sync(0, claims_));
+  }
+
+ private:
+  std::unique_ptr<gcs::GroupMember> member_;
+  std::vector<std::uint64_t> claims_;
+  std::uint64_t answered_ = 0;
+};
+
+/// One server, one scripted peer, two clients, and an outsider: a daemon
+/// below every other node that never joins the movie group. The peer's node
+/// id is below the server's when `peer_below_server` (it then wins every
+/// lowest-id rule), above it otherwise.
+class RepairBed {
+ public:
+  explicit RepairBed(bool peer_below_server, VodParams params = {})
+      : dep_(42, net::lan_quality(), params) {
+    const net::NodeId outsider_host = dep_.add_host("outsider");
+    net::NodeId peer_host = net::kInvalidNode;
+    if (peer_below_server) peer_host = dep_.add_host("peer");
+    const net::NodeId server_host = dep_.add_host("server");
+    if (!peer_below_server) peer_host = dep_.add_host("peer");
+    const net::NodeId c0 = dep_.add_host("client0");
+    const net::NodeId c1 = dep_.add_host("client1");
+    server_ = dep_.start_server(server_host).server.get();
+    server_->add_movie(mpeg::Movie::synthetic(kRepairMovie, 120.0));
+    peer_daemon_ = dep_.start_gateway(peer_host).daemon.get();
+    outsider_daemon_ = dep_.start_gateway(outsider_host).daemon.get();
+    clients_[0] = dep_.start_client(c0).client.get();
+    clients_[1] = dep_.start_client(c1).client.get();
+    run_for(2.0);
+  }
+
+  /// Joins the scripted peer, claiming `claims`, to the movie group and lets
+  /// the resulting table exchange finish.
+  ScriptedPeer& join_peer(std::vector<std::uint64_t> claims = {}) {
+    peer_ = std::make_unique<ScriptedPeer>(*peer_daemon_, std::move(claims));
+    run_for(1.0);
+    return *peer_;
+  }
+  /// A second, silent member on the peer's daemon: joining or dropping it
+  /// changes the movie-group view (and so runs a re-distribution) without
+  /// changing the set of server nodes.
+  void toggle_extra_member() {
+    if (extra_) {
+      extra_.reset();
+    } else {
+      extra_ = peer_daemon_->join(movie_group_name(kRepairMovie), {});
+    }
+    run_for(1.0);
+  }
+
+  /// A periodic sync from the outsider, sent into the movie group.
+  void outsider_sync(const std::vector<std::uint64_t>& clients) {
+    outsider_daemon_->send_to_group(movie_group_name(kRepairMovie),
+                                    claim_sync(0, clients));
+  }
+
+  VodServer& server() { return *server_; }
+  VodClient& client(int i) { return *clients_[i]; }
+  std::uint64_t id(int i) { return clients_[i]->client_id(); }
+  /// Whether the server's last re-distribution ran on a claim for `client`.
+  bool last_rebalance_knew(std::uint64_t client) {
+    const RebalanceSnapshot* snap = server_->rebalance_snapshot(kRepairMovie);
+    return snap != nullptr && snap->input_owners.contains(client);
+  }
+  void run_for(double seconds) { dep_.run_for(sim::sec(seconds)); }
+
+ private:
+  Deployment dep_;
+  VodServer* server_ = nullptr;
+  gcs::Daemon* peer_daemon_ = nullptr;
+  gcs::Daemon* outsider_daemon_ = nullptr;
+  VodClient* clients_[2] = {};
+  std::unique_ptr<ScriptedPeer> peer_;
+  std::unique_ptr<gcs::GroupMember> extra_;
+};
+
+constexpr std::uint64_t kPhantom = 0xF00D;  // a client no host runs
+
+TEST(ServerRepair, YieldsToALowerIdClaimantOnTheThirdConflictingSync) {
+  RepairBed bed(/*peer_below_server=*/true);
+  bed.client(0).watch(kRepairMovie);
+  bed.run_for(2.0);
+  ASSERT_TRUE(bed.server().serves(bed.id(0)));
+  // The peer's table answer claims a client of its own, so the balanced
+  // re-distribution leaves client 0 where it is.
+  ScriptedPeer& peer = bed.join_peer({kPhantom});
+  ASSERT_TRUE(bed.server().serves(bed.id(0)));
+  ASSERT_EQ(bed.server().stats().migrations_out, 0u);
+
+  // Now the lower-id peer claims the client the server is streaming to.
+  for (int sync = 1; sync <= 2; ++sync) {
+    peer.sync({kPhantom, bed.id(0)});
+    bed.run_for(0.3);
+    EXPECT_TRUE(bed.server().serves(bed.id(0))) << "after sync " << sync;
+  }
+  peer.sync({kPhantom, bed.id(0)});
+  bed.run_for(0.3);
+  EXPECT_FALSE(bed.server().serves(bed.id(0)));
+  EXPECT_EQ(bed.server().stats().migrations_out, 1u);
+}
+
+TEST(ServerRepair, SecondAskIsServedByTheLowestIdMember) {
+  RepairBed bed(/*peer_below_server=*/false);
+  ScriptedPeer& peer = bed.join_peer();
+  // The table says the live peer serves client 0, but the peer never will.
+  peer.sync({bed.id(0)});
+  bed.run_for(0.3);
+  bed.client(0).watch(kRepairMovie);
+  bed.run_for(0.5);
+  EXPECT_FALSE(bed.server().serves(bed.id(0)));  // first ask: deferred
+  // The retry (1 s after the first ask, plus jitter) is the second ask.
+  bed.run_for(1.5);
+  EXPECT_TRUE(bed.server().serves(bed.id(0)));
+  EXPECT_EQ(bed.server().stats().sessions_opened, 1u);
+  EXPECT_TRUE(bed.client(0).connected());
+}
+
+TEST(ServerRepair, ForgetsAClaimAfterTwoAbsentSyncs) {
+  VodParams params;
+  // kStable keeps the peer's phantom with the peer at each re-distribution
+  // (kSpread would hand it to the idle server).
+  params.rebalance_policy = RebalancePolicy::kStable;
+  RepairBed bed(/*peer_below_server=*/false, params);
+  ScriptedPeer& peer = bed.join_peer();
+  peer.sync({kPhantom});
+  bed.run_for(0.3);
+  peer.sync({});  // first absence: a sync may predate a hand-off
+  bed.run_for(0.3);
+  bed.toggle_extra_member();
+  EXPECT_TRUE(bed.last_rebalance_knew(kPhantom));
+  peer.sync({});  // second absence: the claim is gone
+  bed.run_for(0.3);
+  bed.toggle_extra_member();
+  EXPECT_FALSE(bed.last_rebalance_knew(kPhantom));
+  EXPECT_FALSE(bed.server().serves(kPhantom));
+}
+
+TEST(ServerRepair, ClaimsByANodeOutsideTheViewAreNoLoad) {
+  RepairBed bed(/*peer_below_server=*/false);
+  bed.join_peer();
+  // The outsider, below the server, claims two clients. A new client's
+  // choice counts only the view's members: both are idle, so the tie goes
+  // to the lowest id, the server.
+  bed.outsider_sync({kPhantom, kPhantom + 1});
+  bed.run_for(0.3);
+  bed.client(0).watch(kRepairMovie);
+  bed.run_for(1.0);
+  EXPECT_TRUE(bed.server().serves(bed.id(0)));
+  EXPECT_EQ(bed.server().stats().sessions_opened, 1u);
+}
+
+TEST(ServerRepair, DeferralCountSurvivesAForgottenClaim) {
+  RepairBed bed(/*peer_below_server=*/false);
+  ScriptedPeer& peer = bed.join_peer();
+  // Client 1 loads the server, so a fresh choice for client 0 would now go
+  // to the (idle) peer.
+  bed.client(1).watch(kRepairMovie);
+  bed.run_for(1.0);
+  ASSERT_TRUE(bed.server().serves(bed.id(1)));
+  peer.sync({bed.id(0)});
+  bed.run_for(0.3);
+  bed.client(0).watch(kRepairMovie);
+  bed.run_for(0.2);
+  ASSERT_FALSE(bed.server().serves(bed.id(0)));  // first ask: deferred
+  // Before the retry, the peer stops claiming client 0 and the absence
+  // sweep forgets its claim. The deferral must outlive it: the retry is the
+  // second ask and is rescued by the lowest id, the server.
+  peer.sync({});
+  bed.run_for(0.2);
+  peer.sync({});
+  bed.run_for(0.2);
+  bed.run_for(1.5);
+  EXPECT_TRUE(bed.server().serves(bed.id(0)));
 }
 
 }  // namespace
