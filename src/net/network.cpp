@@ -39,21 +39,27 @@ const std::string& Network::host_name(NodeId id) const {
 std::unique_ptr<Socket> Network::bind(NodeId node, Port port,
                                       Socket::RecvHandler handler) {
   Host& h = hosts_.at(node);
-  if (h.sockets.contains(port)) {
+  if (find_socket(h, port) != nullptr) {
     throw std::runtime_error("port already bound: node " +
                              std::to_string(node) + " port " +
                              std::to_string(port));
   }
   auto sock = std::unique_ptr<Socket>(
       new Socket(*this, Endpoint{node, port}, std::move(handler)));
-  h.sockets[port] = sock.get();
+  h.sockets.emplace_back(port, sock.get());
   return sock;
 }
 
 void Network::unbind(const Socket& s) {
-  Host& h = hosts_.at(s.local().node);
-  auto it = h.sockets.find(s.local().port);
-  if (it != h.sockets.end() && it->second == &s) h.sockets.erase(it);
+  std::erase_if(hosts_.at(s.local().node).sockets,
+                [&s](const auto& bound) { return bound.second == &s; });
+}
+
+Socket* Network::find_socket(const Host& h, Port port) {
+  for (const auto& [p, sock] : h.sockets) {
+    if (p == port) return sock;
+  }
+  return nullptr;
 }
 
 void Network::set_quality(NodeId a, NodeId b, const LinkQuality& q) {
@@ -328,15 +334,14 @@ void Network::hand_off(Endpoint from, Endpoint to, PayloadBuffer* data,
     release_ref(data);
     return;
   }
-  auto it = h.sockets.find(to.port);
-  if (it == h.sockets.end()) {
+  Socket* sock = find_socket(h, to.port);
+  if (sock == nullptr) {
     ++h.stats.dropped_unreachable;
     release_ref(data);
     return;
   }
   ++h.stats.datagrams_received;
   h.stats.bytes_received += wire_size;
-  Socket* sock = it->second;
   ++sock->stats_.datagrams_received;
   sock->stats_.bytes_received += wire_size;
   // Dispatch before releasing: the handler may itself send, which can pop

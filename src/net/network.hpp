@@ -14,7 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -111,7 +111,9 @@ class Network {
     bool alive = true;
     sim::Time uplink_free_at = 0;    // when the uplink drains its queue
     sim::Time downlink_free_at = 0;  // when the downlink drains its queue
-    std::unordered_map<Port, Socket*> sockets;
+    /// Bound sockets. A host binds one to three ports, so a linear scan
+    /// of this list beats hashing on every delivery.
+    std::vector<std::pair<Port, Socket*>> sockets;
     std::vector<std::function<void()>> crash_listeners;
     HostStats stats;
   };
@@ -138,6 +140,7 @@ class Network {
   void hand_off(Endpoint from, Endpoint to, PayloadBuffer* data,
                 std::size_t wire_size);
   void unbind(const Socket& s);
+  [[nodiscard]] static Socket* find_socket(const Host& h, Port port);
 
   PayloadBuffer* acquire_buffer(std::span<const std::byte> payload);
   void release_ref(PayloadBuffer* data);

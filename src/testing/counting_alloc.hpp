@@ -32,6 +32,12 @@ inline std::uint64_t alloc_bytes = 0;  // bytes requested through it
 }  // namespace ftvod::testing
 
 #if FTVOD_COUNTING_ALLOC
+// GCC sees malloc() behind operator new and free() behind operator delete
+// and reports them as mismatched; the pairing is correct by design.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void* operator new(std::size_t n) {
   ++ftvod::testing::alloc_count;
   ftvod::testing::alloc_bytes += n;
@@ -63,4 +69,7 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif  // FTVOD_COUNTING_ALLOC

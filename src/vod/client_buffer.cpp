@@ -7,62 +7,73 @@ namespace ftvod::vod {
 void ClientBuffers::insert(const mpeg::FrameInfo& frame) {
   ++counters_.received;
   const auto idx = static_cast<std::int64_t>(frame.index);
+  const auto sw_begin = frames_.begin() + static_cast<std::ptrdiff_t>(hw_end_);
+  const auto it = std::lower_bound(
+      sw_begin, frames_.end(), frame.index,
+      [](const mpeg::FrameInfo& f, std::uint64_t i) { return f.index < i; });
 
   // Too late to re-order in (the decoder moved past it), or a duplicate.
-  if (idx <= hw_horizon_ || software_.contains(frame.index)) {
+  if (idx <= hw_horizon_ || (it != frames_.end() && it->index == frame.index)) {
     ++counters_.late;
     return;
   }
+  auto pos = static_cast<std::size_t>(it - frames_.begin());
 
-  if (software_.size() >= sw_capacity_) {
+  if (sw_frames() >= sw_capacity_) {
     // Overflow: make room by discarding the furthest-from-display
     // incremental frame; fall back to an I frame only when the whole buffer
     // is I frames (§3: "when possible we discard an incremental frame").
-    auto victim = software_.end();
-    for (auto it = software_.rbegin(); it != software_.rend(); ++it) {
-      if (it->second.type != mpeg::FrameType::kI) {
-        victim = std::prev(it.base());
-        break;
-      }
+    std::size_t past_victim = frames_.size();
+    while (past_victim > hw_end_ &&
+           frames_[past_victim - 1].type == mpeg::FrameType::kI) {
+      --past_victim;
     }
     ++counters_.overflow_discards;
-    if (victim == software_.end()) {
+    if (past_victim == hw_end_) {
       // All buffered frames are I frames. Keep them: if the incoming frame
       // is incremental, discard it instead; otherwise evict the furthest I.
       if (frame.type != mpeg::FrameType::kI) {
         return;  // incoming frame dropped
       }
-      victim = std::prev(software_.end());
+      past_victim = frames_.size();
       ++counters_.overflow_discarded_i_frames;
     }
-    software_.erase(victim);
+    const std::size_t victim = past_victim - 1;
+    frames_.erase(frames_.begin() + static_cast<std::ptrdiff_t>(victim));
+    if (victim < pos) --pos;
   }
 
-  software_.emplace(frame.index, frame);
+  if (frames_.size() == frames_.capacity() && head_ > 0) {
+    // Reclaim the displayed prefix instead of growing the array.
+    frames_.erase(frames_.begin(),
+                  frames_.begin() + static_cast<std::ptrdiff_t>(head_));
+    hw_end_ -= head_;
+    pos -= head_;
+    head_ = 0;
+  }
+  frames_.insert(frames_.begin() + static_cast<std::ptrdiff_t>(pos), frame);
   transfer_to_hardware();
 }
 
 void ClientBuffers::transfer_to_hardware() {
-  while (!software_.empty()) {
-    const mpeg::FrameInfo& head = software_.begin()->second;
-    if (hw_bytes_ + head.size_bytes > hw_capacity_bytes_ &&
-        !hardware_.empty()) {
+  // The software head joins the decoder by moving the stage boundary.
+  while (hw_end_ < frames_.size()) {
+    const mpeg::FrameInfo& head = frames_[hw_end_];
+    if (hw_bytes_ + head.size_bytes > hw_capacity_bytes_ && hw_end_ > head_) {
       break;  // decoder buffer full
     }
-    hardware_.push_back(head);
     hw_bytes_ += head.size_bytes;
     hw_horizon_ = static_cast<std::int64_t>(head.index);
-    software_.erase(software_.begin());
+    ++hw_end_;
   }
 }
 
 std::optional<mpeg::FrameInfo> ClientBuffers::consume() {
-  if (hardware_.empty()) {
+  if (hw_end_ == head_) {
     ++counters_.starvation_ticks;
     return std::nullopt;
   }
-  const mpeg::FrameInfo frame = hardware_.front();
-  hardware_.pop_front();
+  const mpeg::FrameInfo frame = frames_[head_++];
   hw_bytes_ -= frame.size_bytes;
 
   const auto idx = static_cast<std::int64_t>(frame.index);
@@ -78,8 +89,9 @@ std::optional<mpeg::FrameInfo> ClientBuffers::consume() {
 }
 
 void ClientBuffers::flush_to(std::uint64_t next_expected_frame) {
-  software_.clear();
-  hardware_.clear();
+  frames_.clear();
+  head_ = 0;
+  hw_end_ = 0;
   hw_bytes_ = 0;
   hw_horizon_ = static_cast<std::int64_t>(next_expected_frame) - 1;
   last_displayed_ = static_cast<std::int64_t>(next_expected_frame) - 1;

@@ -10,12 +10,16 @@
 //                    victim is an incremental frame when possible (Fig 5b),
 //  * skipped       — never displayed (gaps observed at display time: lost,
 //                    late-dropped or overflow-discarded; Figs 4a/5a).
+//
+// Both stages share one index-sorted array: the decoder stage is its prefix
+// (every index in it is at or below the decoder horizon, every software
+// index above it), so streaming a frame into the decoder moves a boundary
+// rather than the frame, and the array stops allocating once warm.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "mpeg/frame.hpp"
 
@@ -37,7 +41,11 @@ class ClientBuffers {
                 std::uint32_t avg_frame_bytes)
       : sw_capacity_(sw_capacity_frames),
         hw_capacity_bytes_(hw_capacity_bytes),
-        avg_frame_bytes_(avg_frame_bytes == 0 ? 1 : avg_frame_bytes) {}
+        avg_frame_bytes_(avg_frame_bytes == 0 ? 1 : avg_frame_bytes) {
+    // Twice the capacity leaves room for the displayed prefix, so it is
+    // erased about once per buffer's worth of frames.
+    frames_.reserve(2 * total_capacity_frames());
+  }
 
   /// A frame arrived from the network.
   void insert(const mpeg::FrameInfo& frame);
@@ -50,8 +58,10 @@ class ClientBuffers {
   void flush_to(std::uint64_t next_expected_frame);
 
   // --- occupancy ----------------------------------------------------------
-  [[nodiscard]] std::size_t sw_frames() const { return software_.size(); }
-  [[nodiscard]] std::size_t hw_frames() const { return hardware_.size(); }
+  [[nodiscard]] std::size_t sw_frames() const {
+    return frames_.size() - hw_end_;
+  }
+  [[nodiscard]] std::size_t hw_frames() const { return hw_end_ - head_; }
   [[nodiscard]] std::size_t hw_bytes() const { return hw_bytes_; }
   [[nodiscard]] std::size_t sw_capacity() const { return sw_capacity_; }
   [[nodiscard]] std::size_t hw_capacity_bytes() const {
@@ -63,7 +73,7 @@ class ClientBuffers {
     return sw_capacity_ + hw_capacity_bytes_ / avg_frame_bytes_;
   }
   [[nodiscard]] std::size_t total_frames() const {
-    return software_.size() + hardware_.size();
+    return frames_.size() - head_;
   }
   [[nodiscard]] double occupancy_fraction() const {
     return static_cast<double>(total_frames()) /
@@ -71,7 +81,7 @@ class ClientBuffers {
   }
   /// Software-stage occupancy: the emergency thresholds watch this.
   [[nodiscard]] double sw_occupancy_fraction() const {
-    return static_cast<double>(software_.size()) /
+    return static_cast<double>(sw_frames()) /
            static_cast<double>(sw_capacity_);
   }
 
@@ -86,8 +96,12 @@ class ClientBuffers {
   std::size_t hw_capacity_bytes_;
   std::uint32_t avg_frame_bytes_;
 
-  std::map<std::uint64_t, mpeg::FrameInfo> software_;  // keyed by index
-  std::deque<mpeg::FrameInfo> hardware_;               // display order
+  /// Sorted by index: [head_, hw_end_) is the decoder stage, [hw_end_, end)
+  /// the software stage, and [0, head_) already displayed. The displayed
+  /// prefix is erased when the array is full, instead of growing it.
+  std::vector<mpeg::FrameInfo> frames_;
+  std::size_t head_ = 0;
+  std::size_t hw_end_ = 0;
   std::size_t hw_bytes_ = 0;
   /// Highest frame index ever streamed into the hardware decoder; frames at
   /// or below it can no longer be re-ordered in and count as late.

@@ -626,16 +626,13 @@ double VodServer::effective_rate(const Session& s) const {
 void VodServer::arm_send_timer(Session& s) {
   const double rate = effective_rate(s);
   const auto period = static_cast<sim::Duration>(1e6 / rate);
-  const std::uint64_t client_id = s.rec.client_id;
-  s.send_timer.arm(period, [this, client_id] { send_tick(client_id); });
+  // The closure binds the session itself: slab slots never move, and the
+  // session's own timer is cancelled whenever the slot is released.
+  s.send_timer.arm(period, [this, &s] { send_tick(s); });
 }
 
-void VodServer::send_tick(std::uint64_t client_id) {
-  if (halted_) return;
-  Session* sp = find_session(client_id);
-  if (sp == nullptr) return;
-  Session& s = *sp;
-  if (s.rec.paused || s.finished) return;
+void VodServer::send_tick(Session& s) {
+  if (halted_ || s.rec.paused || s.finished) return;
 
   // Emergency decay is evaluated on the send path (§4.1: once per second).
   while (s.eq.active() && sched_->now() >= s.next_decay_at) {
@@ -655,7 +652,7 @@ void VodServer::send_tick(std::uint64_t client_id) {
   }
 
   const mpeg::FrameInfo frame = s.movie->frame(s.rec.next_frame);
-  wire::Frame msg{client_id, frame.index, frame.type, frame.size_bytes};
+  wire::Frame msg{s.rec.client_id, frame.index, frame.type, frame.size_bytes};
   // Encode into the server-lifetime scratch writer: the per-frame hot path
   // touches no heap once the writer and the network's buffer pool are warm.
   wire::encode_into(msg, frame_writer_);

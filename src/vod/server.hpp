@@ -107,8 +107,9 @@ class VodServer {
  private:
   /// Per-client serving state. Sessions live in a slab (`session_slab_`):
   /// slots are recycled through a free list so steady-state churn re-uses
-  /// the allocation, and the dense id→slot map keeps every per-frame lookup
-  /// O(1) instead of a red-black-tree walk per sent frame.
+  /// the allocation. The send timer is bound to its session, so the
+  /// per-frame path does no lookup; the id→slot index serves the control
+  /// plane.
   struct Session {
     Session(sim::Scheduler& sched, double decay)
         : eq(decay), send_timer(sched) {}
@@ -192,7 +193,7 @@ class VodServer {
                     std::shared_ptr<const mpeg::Movie> movie,
                     bool is_takeover);
   void close_session(std::uint64_t client_id, bool client_gone);
-  void send_tick(std::uint64_t client_id);
+  void send_tick(Session& s);
   void arm_send_timer(Session& s);
   void send_sync();
 

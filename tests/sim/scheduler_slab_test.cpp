@@ -1,10 +1,11 @@
 // Property tests for the slab scheduler: handle safety across slot
 // recycling, tombstone semantics, and counting-allocator proofs that the
-// steady-state paths (timer re-arm loop; frame encode + network send) stay
-// off the heap once warm. The binary overrides the global allocator to
-// count every allocation, including any hidden inside std::function or
-// shared_ptr — a regression that reintroduces per-event allocations fails
-// these tests, not just the benchmark.
+// steady-state paths (timer re-arm loop; frame encode + network send; frame
+// receive into the client buffers + display) stay off the heap once warm.
+// The binary overrides the global allocator to count every allocation,
+// including any hidden inside std::function or shared_ptr — a regression
+// that reintroduces per-event allocations fails these tests, not just the
+// benchmark.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -13,7 +14,9 @@
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
+#include "util/frame.hpp"
 #include "util/rng.hpp"
+#include "vod/client_buffer.hpp"
 #include "vod/wire.hpp"
 
 // Under AddressSanitizer the counting hooks compile out; the handle-safety
@@ -139,7 +142,9 @@ TEST(SchedulerSlab, SteadyStateTimerLoopAllocationFree) {
   const std::uint64_t fired_before = fired;
   sched.run_until(sched.now() + 100'000);
   EXPECT_GT(fired, fired_before + 1'000);
-  if (kCountingAlloc) EXPECT_EQ(alloc_count - allocs_before, 0u);
+  if (kCountingAlloc) {
+    EXPECT_EQ(alloc_count - allocs_before, 0u);
+  }
 }
 
 // The acceptance path of the allocation-free core: scheduler arm -> wire
@@ -175,7 +180,66 @@ TEST(SchedulerSlab, FrameSendPathAllocationFree) {
   const std::uint64_t frames_before = frames_received;
   sched.run_until(sched.now() + sec(30.0));
   EXPECT_GT(frames_received, frames_before + 800);
-  if (kCountingAlloc) EXPECT_EQ(alloc_count - allocs_before, 0u);
+  if (kCountingAlloc) {
+    EXPECT_EQ(alloc_count - allocs_before, 0u);
+  }
+}
+
+TEST(SchedulerSlab, FrameReceivePathAllocationFree) {
+  // The client half of the frame path: jittered, duplicating link -> socket
+  // handler -> integrity check and decode -> ClientBuffers, with the display
+  // consuming one frame per period. Frames arrive faster than the display
+  // drains them, so the measured window covers reordering, duplicates and
+  // overflow discards as well as the in-order case.
+  Scheduler sched;
+  util::Rng rng(11);
+  net::Network net(sched, rng);
+  net::LinkQuality q;
+  q.jitter = usec(45'000);  // beyond the frame spacing: arrivals reorder
+  q.duplicate = 0.02;
+  net.set_default_quality(q);
+  const net::NodeId server = net.add_host("server");
+  const net::NodeId client = net.add_host("client");
+  vod::ClientBuffers buffers(37, 240 * 1024, 5833);  // the paper's sizes
+  auto client_sock = net.bind(
+      client, 2, [&](const net::Endpoint&, std::span<const std::byte> d) {
+        if (!util::frame_open(d)) return;
+        if (const auto f = vod::wire::decode_frame(d)) {
+          buffers.insert(mpeg::FrameInfo{f->frame_index, f->type,
+                                         f->size_bytes});
+        }
+      });
+  auto server_sock = net.bind(server, 1, nullptr);
+
+  OneShotTimer send_timer(sched);
+  util::Writer writer;
+  std::uint64_t next_frame = 0;
+  std::function<void()> send = [&] {
+    const std::uint64_t i = next_frame++;
+    const auto type = i % 12 == 0  ? mpeg::FrameType::kI
+                      : i % 3 == 0 ? mpeg::FrameType::kP
+                                   : mpeg::FrameType::kB;
+    const std::uint32_t size = type == mpeg::FrameType::kI ? 14'000 : 4'500;
+    vod::wire::encode_into(vod::wire::Frame{1, i, type, size}, writer);
+    server_sock->send(net::Endpoint{client, 2}, writer.buffer(),
+                      size - writer.size());
+    send_timer.arm(28'000, [&] { send(); });  // ~36 fps
+  };
+  send_timer.arm(28'000, [&] { send(); });
+  PeriodicTimer display(sched, 33'333, [&] { (void)buffers.consume(); });
+  display.start();
+
+  sched.run_until(sched.now() + sec(5.0));  // warmup: pools, buffer array
+  const std::uint64_t allocs_before = alloc_count;
+  const vod::BufferCounters before = buffers.counters();
+  sched.run_until(sched.now() + sec(30.0));
+  const vod::BufferCounters& after = buffers.counters();
+  EXPECT_GT(after.displayed, before.displayed + 800);
+  EXPECT_GT(after.late, before.late);
+  EXPECT_GT(after.overflow_discards, before.overflow_discards);
+  if (kCountingAlloc) {
+    EXPECT_EQ(alloc_count - allocs_before, 0u);
+  }
 }
 
 }  // namespace

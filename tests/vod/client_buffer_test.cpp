@@ -1,10 +1,14 @@
 // Client buffer mechanics (§3): two-stage buffering, re-ordering window,
 // late/duplicate handling, the I-frame-preserving overflow policy, and
-// skip accounting at display time.
+// skip accounting at display time. A differential fuzz drives the
+// production buffer and a node-based reference model of the same rules in
+// lockstep.
 #include "vod/client_buffer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <random>
 
 namespace ftvod::vod {
@@ -14,6 +18,117 @@ mpeg::FrameInfo frame(std::uint64_t index,
                       mpeg::FrameType type = mpeg::FrameType::kP,
                       std::uint32_t bytes = 5000) {
   return mpeg::FrameInfo{index, type, bytes};
+}
+
+/// Reference model: the two stages as an ordered map (software, keyed by
+/// index) feeding a FIFO (hardware). Written for clarity, not speed; the
+/// production buffer must match it call for call.
+class ReferenceBuffers {
+ public:
+  ReferenceBuffers(std::size_t sw_capacity_frames,
+                   std::size_t hw_capacity_bytes)
+      : sw_capacity_(sw_capacity_frames),
+        hw_capacity_bytes_(hw_capacity_bytes) {}
+
+  void insert(const mpeg::FrameInfo& frame) {
+    ++counters_.received;
+    const auto idx = static_cast<std::int64_t>(frame.index);
+    if (idx <= hw_horizon_ || software_.contains(frame.index)) {
+      ++counters_.late;
+      return;
+    }
+    if (software_.size() >= sw_capacity_) {
+      auto victim = software_.end();
+      for (auto it = software_.rbegin(); it != software_.rend(); ++it) {
+        if (it->second.type != mpeg::FrameType::kI) {
+          victim = std::prev(it.base());
+          break;
+        }
+      }
+      ++counters_.overflow_discards;
+      if (victim == software_.end()) {
+        if (frame.type != mpeg::FrameType::kI) return;
+        victim = std::prev(software_.end());
+        ++counters_.overflow_discarded_i_frames;
+      }
+      software_.erase(victim);
+    }
+    software_.emplace(frame.index, frame);
+    transfer_to_hardware();
+  }
+
+  std::optional<mpeg::FrameInfo> consume() {
+    if (hardware_.empty()) {
+      ++counters_.starvation_ticks;
+      return std::nullopt;
+    }
+    const mpeg::FrameInfo frame = hardware_.front();
+    hardware_.pop_front();
+    hw_bytes_ -= frame.size_bytes;
+    const auto idx = static_cast<std::int64_t>(frame.index);
+    if (last_displayed_ >= 0 && idx > last_displayed_ + 1) {
+      counters_.skipped +=
+          static_cast<std::uint64_t>(idx - last_displayed_ - 1);
+    }
+    last_displayed_ = idx;
+    ++counters_.displayed;
+    transfer_to_hardware();
+    return frame;
+  }
+
+  void flush_to(std::uint64_t next_expected_frame) {
+    software_.clear();
+    hardware_.clear();
+    hw_bytes_ = 0;
+    hw_horizon_ = static_cast<std::int64_t>(next_expected_frame) - 1;
+    last_displayed_ = static_cast<std::int64_t>(next_expected_frame) - 1;
+  }
+
+  [[nodiscard]] std::size_t sw_frames() const { return software_.size(); }
+  [[nodiscard]] std::size_t hw_frames() const { return hardware_.size(); }
+  [[nodiscard]] std::size_t hw_bytes() const { return hw_bytes_; }
+  [[nodiscard]] const BufferCounters& counters() const { return counters_; }
+  [[nodiscard]] std::int64_t last_displayed() const { return last_displayed_; }
+
+ private:
+  void transfer_to_hardware() {
+    while (!software_.empty()) {
+      const mpeg::FrameInfo& head = software_.begin()->second;
+      if (hw_bytes_ + head.size_bytes > hw_capacity_bytes_ &&
+          !hardware_.empty()) {
+        break;
+      }
+      hardware_.push_back(head);
+      hw_bytes_ += head.size_bytes;
+      hw_horizon_ = static_cast<std::int64_t>(head.index);
+      software_.erase(software_.begin());
+    }
+  }
+
+  std::size_t sw_capacity_;
+  std::size_t hw_capacity_bytes_;
+  std::map<std::uint64_t, mpeg::FrameInfo> software_;
+  std::deque<mpeg::FrameInfo> hardware_;
+  std::size_t hw_bytes_ = 0;
+  std::int64_t hw_horizon_ = -1;
+  std::int64_t last_displayed_ = -1;
+  BufferCounters counters_;
+};
+
+void expect_same_state(const ClientBuffers& b, const ReferenceBuffers& r) {
+  const BufferCounters& c = b.counters();
+  const BufferCounters& rc = r.counters();
+  ASSERT_EQ(c.received, rc.received);
+  ASSERT_EQ(c.late, rc.late);
+  ASSERT_EQ(c.overflow_discards, rc.overflow_discards);
+  ASSERT_EQ(c.overflow_discarded_i_frames, rc.overflow_discarded_i_frames);
+  ASSERT_EQ(c.skipped, rc.skipped);
+  ASSERT_EQ(c.displayed, rc.displayed);
+  ASSERT_EQ(c.starvation_ticks, rc.starvation_ticks);
+  ASSERT_EQ(b.sw_frames(), r.sw_frames());
+  ASSERT_EQ(b.hw_frames(), r.hw_frames());
+  ASSERT_EQ(b.hw_bytes(), r.hw_bytes());
+  ASSERT_EQ(b.last_displayed(), r.last_displayed());
 }
 
 /// Small buffers for focused tests: 4 software slots, 3 frames of hardware.
@@ -237,6 +352,82 @@ TEST_P(BufferFuzz, InvariantsUnderRandomTraffic) {
   const BufferCounters& c = b.counters();
   ASSERT_EQ(c.displayed + b.total_frames() + c.late + c.overflow_discards,
             c.received);
+}
+
+// Differential check against the reference model: in-order and reordered
+// arrivals, duplicates, stragglers behind the decoder horizon, overflow with
+// mixed and all-I frame runs, frames larger than the decoder, repositioning
+// and starvation. State and every consume() result must match after every
+// call.
+TEST_P(BufferFuzz, MatchesReferenceModel) {
+  std::mt19937 gen(GetParam() * 7919 + 3);
+  const std::size_t sw_cap = 3 + GetParam() % 6;
+  const std::size_t hw_cap = (2 + GetParam() % 5) * 5000;
+  ClientBuffers b(sw_cap, hw_cap, 5000);
+  ReferenceBuffers r(sw_cap, hw_cap);
+  std::uniform_int_distribution<int> pct(0, 99);
+  std::uniform_int_distribution<int> jitter(-4, 6);
+  std::uniform_int_distribution<std::uint32_t> size(500, 9000);
+  std::uint64_t next = 0;
+  // Re-drawn in phases: the percentage of I frames (sometimes all), and of
+  // arrivals among calls (below ~50 the buffer drains and starves).
+  int i_share = 10;
+  int arrivals = 60;
+  for (int step = 0; step < 20'000; ++step) {
+    if (step % 500 == 0) {
+      i_share = pct(gen) < 25 ? 100 : pct(gen) / 2;
+      arrivals = 40 + pct(gen) / 2;
+    }
+    const int roll = pct(gen);
+    if (roll < arrivals) {
+      std::int64_t idx = static_cast<std::int64_t>(next);
+      const int kind = pct(gen);
+      if (kind < 40) {
+        ++next;  // in order
+      } else if (kind < 75) {
+        idx += jitter(gen);  // reordered, or a gap on loss
+        ++next;
+      } else if (kind < 90) {
+        idx -= 1 + pct(gen) % 4;  // duplicate of a recent frame
+      } else {
+        idx = r.last_displayed() - pct(gen) % 3;  // behind the horizon
+      }
+      if (idx < 0) continue;
+      const auto type = pct(gen) < i_share
+                            ? mpeg::FrameType::kI
+                            : (pct(gen) < 50 ? mpeg::FrameType::kP
+                                             : mpeg::FrameType::kB);
+      const std::uint32_t bytes =
+          pct(gen) < 3 ? static_cast<std::uint32_t>(hw_cap) + 4000 : size(gen);
+      const mpeg::FrameInfo f = frame(static_cast<std::uint64_t>(idx), type,
+                                      bytes);
+      b.insert(f);
+      r.insert(f);
+    } else if (roll < 98) {
+      const auto got = b.consume();
+      const auto want = r.consume();
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (got) {
+        ASSERT_EQ(got->index, want->index) << "step " << step;
+        ASSERT_EQ(got->type, want->type) << "step " << step;
+        ASSERT_EQ(got->size_bytes, want->size_bytes) << "step " << step;
+      }
+    } else {
+      // Random access: forward jumps and the occasional rewind.
+      const std::uint64_t to =
+          pct(gen) < 70 ? next + static_cast<std::uint64_t>(pct(gen))
+                        : next / 2;
+      b.flush_to(to);
+      r.flush_to(to);
+      next = to;
+    }
+    expect_same_state(b, r);
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "diverged at step " << step;
+    }
+  }
+  EXPECT_GT(r.counters().overflow_discarded_i_frames, 0u);
+  EXPECT_GT(r.counters().starvation_ticks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferFuzz, ::testing::Range(0u, 8u));

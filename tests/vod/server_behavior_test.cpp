@@ -88,6 +88,42 @@ TEST(ServerBehavior, HaltedServerStopsTransmitting) {
   EXPECT_TRUE(bed.server(0).halted());
 }
 
+TEST(ServerBehavior, ReusedSessionSlotServesOnlyTheNewClient) {
+  // A session's send timer is bound to its slab slot. Close one session and
+  // open another on the only server: the new session takes the freed slot,
+  // and the closed client must hear nothing more while the new one gets a
+  // single stream at the display rate.
+  VodTestBed bed(1, 2);
+  bed.client(0).watch(bed.movie()->name());
+  bed.run_for(6.0);
+  ASSERT_TRUE(bed.client(0).playing());
+  bed.client(0).stop();
+  bed.run_for(1.0);  // the Stop reaches the server; stragglers land
+  ASSERT_EQ(bed.server(0).session_count(), 0u);
+  const auto closed_received =
+      bed.client(0).data_socket_stats().datagrams_received;
+
+  bed.client(1).watch(bed.movie()->name());
+  bed.run_for(20.0);  // past the start-up fill
+  ASSERT_TRUE(bed.client(1).playing());
+  ASSERT_EQ(bed.server(0).session_count(), 1u);
+  const auto sent = bed.server(0).stats().frames_sent;
+  const auto received = bed.client(1).data_socket_stats().datagrams_received;
+  const auto discards = bed.client(1).counters().overflow_discards;
+  constexpr double kWindowS = 10.0;
+  bed.run_for(kWindowS);
+  const auto sent_in_window = bed.server(0).stats().frames_sent - sent;
+  EXPECT_EQ(bed.client(1).data_socket_stats().datagrams_received - received,
+            sent_in_window);
+  const double fps = static_cast<double>(sent_in_window) / kWindowS;
+  EXPECT_GT(fps, 27.0);  // one stream, at the 30 fps display rate
+  EXPECT_LT(fps, 33.0);
+  EXPECT_EQ(bed.client(1).counters().overflow_discards, discards);
+  EXPECT_EQ(bed.client(0).data_socket_stats().datagrams_received,
+            closed_received);
+  EXPECT_EQ(bed.server(0).stats().sessions_opened, 2u);
+}
+
 TEST(ServerBehavior, CatalogReflectsAddAndRemove) {
   VodTestBed bed(1, 1);
   EXPECT_TRUE(bed.server(0).catalog().contains("feature"));
