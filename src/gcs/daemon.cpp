@@ -173,7 +173,8 @@ void Daemon::on_datagram(const net::Endpoint& from,
   // Integrity gate: a datagram that fails length/CRC verification carries no
   // trustworthy information at all — not even its claimed sender — so it
   // must not refresh liveness or reach a decoder.
-  if (!util::frame_open(data)) {
+  const auto opened = util::frame_open(data);
+  if (!opened) {
     socket_->note_corrupt_dropped();
     ++stats_.malformed_dropped;
     return;
@@ -192,67 +193,67 @@ void Daemon::on_datagram(const net::Endpoint& from,
   bool handled = false;
   switch (*type) {
     case wire::MsgType::kHeartbeat:
-      if (auto m = wire::decode_heartbeat(data)) {
+      if (auto m = wire::decode_heartbeat(*opened)) {
         handle_heartbeat(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kSubmit:
-      if (auto batch = wire::decode_submit(data)) {
+      if (auto batch = wire::decode_submit(*opened)) {
         for (wire::Submit& m : *batch) handle_submit(peer, std::move(m));
         handled = true;
       }
       break;
     case wire::MsgType::kOrdered:
-      if (auto batch = wire::decode_ordered(data)) {
+      if (auto batch = wire::decode_ordered(*opened)) {
         for (wire::Ordered& m : *batch) handle_ordered(std::move(m));
         handled = true;
       }
       break;
     case wire::MsgType::kRetransReq:
-      if (auto m = wire::decode_retrans_req(data)) {
+      if (auto m = wire::decode_retrans_req(*opened)) {
         handle_retrans_req(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kPropose:
-      if (auto m = wire::decode_propose(data)) {
+      if (auto m = wire::decode_propose(*opened)) {
         handle_propose(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kProposeAck:
-      if (auto m = wire::decode_propose_ack(data)) {
+      if (auto m = wire::decode_propose_ack(*opened)) {
         handle_propose_ack(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kFlushTarget:
-      if (auto m = wire::decode_flush_target(data)) {
+      if (auto m = wire::decode_flush_target(*opened)) {
         handle_flush_target(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kFlushReq:
-      if (auto m = wire::decode_flush_req(data)) {
+      if (auto m = wire::decode_flush_req(*opened)) {
         handle_flush_req(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kFlushReply:
-      if (auto m = wire::decode_flush_reply(data)) {
+      if (auto m = wire::decode_flush_reply(*opened)) {
         handle_flush_reply(peer, std::move(*m));
         handled = true;
       }
       break;
     case wire::MsgType::kFlushDone:
-      if (auto m = wire::decode_flush_done(data)) {
+      if (auto m = wire::decode_flush_done(*opened)) {
         handle_flush_done(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kInstall:
-      if (auto m = wire::decode_install(data)) {
+      if (auto m = wire::decode_install(*opened)) {
         handle_install(peer, *m);
         handled = true;
       }

@@ -55,6 +55,24 @@ void Daemon::on_heartbeat_timer() {
 
 void Daemon::handle_heartbeat(net::NodeId from, const wire::Heartbeat& m) {
   max_counter_seen_ = std::max(max_counter_seen_, m.view.counter);
+  if (proposal_ && m.view.counter >= proposal_->pv.counter &&
+      std::find(proposal_->members.begin(), proposal_->members.end(),
+                from) != proposal_->members.end()) {
+    // A prospective member installed a view at least as new as our
+    // proposal (a concurrent proposer won it), so it refuses ours as stale
+    // for good. Propose afresh above that view, with its members, instead
+    // of letting the retry rounds write a live daemon off as unresponsive
+    // and split us off into a view of our own.
+    std::vector<net::NodeId> members = proposal_->members;
+    for (net::NodeId n : m.members) {
+      if (!suspects_.contains(n)) members.push_back(n);
+    }
+    util::log_info(kLog, "n", self_, " sees n", from, " in ", m.view,
+                   "; re-proposing above it");
+    proposal_.reset();
+    start_proposal(std::move(members));
+    return;
+  }
   if (m.view == view_.id) {
     if (from == view_.id.coord && m.safe_upto > safe_upto_ &&
         state_ == State::kNormal) {

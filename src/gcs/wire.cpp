@@ -154,16 +154,16 @@ void begin(util::Writer& w, MsgType t) {
 /// Verifies the integrity frame and the tag, returning a reader positioned
 /// on the first body field. Every decoder funnels through this, so damaged
 /// datagrams are rejected before a single field is interpreted.
-std::optional<util::Reader> body(std::span<const std::byte> data, MsgType t) {
-  const auto opened = util::frame_open(data);
+std::optional<util::Reader> body(util::Datagram data, MsgType t) {
+  const auto opened = data.open();
   if (!opened) return std::nullopt;
-  util::Reader r(*opened);
+  util::Reader r(opened->body);
   if (r.u8() != static_cast<std::uint8_t>(t) || !r.ok()) return std::nullopt;
   return r;
 }
 
 template <typename T, typename Get>
-std::optional<std::vector<T>> decode_batch(std::span<const std::byte> data,
+std::optional<std::vector<T>> decode_batch(util::Datagram data,
                                            MsgType t, std::size_t min_bytes,
                                            Get get) {
   auto r = body(data, t);
@@ -181,7 +181,7 @@ std::optional<std::vector<T>> decode_batch(std::span<const std::byte> data,
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data) {
   // Structural frame check only (no CRC): demux is on the hot path, and the
-  // per-type decoder re-verifies the full checksum via body().
+  // checksum is verified once, by the receiver or by the decoder's body().
   const auto opened = util::frame_peek(data);
   if (!opened || opened->empty()) return std::nullopt;
   const auto t = std::to_integer<std::uint8_t>((*opened)[0]);
@@ -207,7 +207,7 @@ util::Bytes encode(const Heartbeat& m) {
   return w.take();
 }
 
-std::optional<Heartbeat> decode_heartbeat(std::span<const std::byte> data) {
+std::optional<Heartbeat> decode_heartbeat(util::Datagram data) {
   auto r = body(data, MsgType::kHeartbeat);
   if (!r) return std::nullopt;
   Heartbeat m;
@@ -282,8 +282,7 @@ util::Bytes encode(const std::vector<Submit>& batch) {
   return w.take();
 }
 
-std::optional<std::vector<Submit>> decode_submit(
-    std::span<const std::byte> data) {
+std::optional<std::vector<Submit>> decode_submit(util::Datagram data) {
   return decode_batch<Submit>(data, MsgType::kSubmit, kMinSubmitBytes,
                               get_submit);
 }
@@ -304,8 +303,7 @@ util::Bytes encode(const std::vector<Ordered>& batch) {
   return w.take();
 }
 
-std::optional<std::vector<Ordered>> decode_ordered(
-    std::span<const std::byte> data) {
+std::optional<std::vector<Ordered>> decode_ordered(util::Datagram data) {
   return decode_batch<Ordered>(data, MsgType::kOrdered, kMinOrderedBytes,
                                get_ordered);
 }
@@ -324,7 +322,7 @@ util::Bytes encode(const RetransReq& m) {
   return w.take();
 }
 
-std::optional<RetransReq> decode_retrans_req(std::span<const std::byte> data) {
+std::optional<RetransReq> decode_retrans_req(util::Datagram data) {
   auto r = body(data, MsgType::kRetransReq);
   if (!r) return std::nullopt;
   RetransReq m;
@@ -348,7 +346,7 @@ util::Bytes encode(const Propose& m) {
   return w.take();
 }
 
-std::optional<Propose> decode_propose(std::span<const std::byte> data) {
+std::optional<Propose> decode_propose(util::Datagram data) {
   auto r = body(data, MsgType::kPropose);
   if (!r) return std::nullopt;
   Propose m;
@@ -373,7 +371,7 @@ util::Bytes encode(const ProposeAck& m) {
   return w.take();
 }
 
-std::optional<ProposeAck> decode_propose_ack(std::span<const std::byte> data) {
+std::optional<ProposeAck> decode_propose_ack(util::Datagram data) {
   auto r = body(data, MsgType::kProposeAck);
   if (!r) return std::nullopt;
   ProposeAck m;
@@ -402,8 +400,7 @@ util::Bytes encode(const FlushTarget& m) {
   return w.take();
 }
 
-std::optional<FlushTarget> decode_flush_target(
-    std::span<const std::byte> data) {
+std::optional<FlushTarget> decode_flush_target(util::Datagram data) {
   auto r = body(data, MsgType::kFlushTarget);
   if (!r) return std::nullopt;
   FlushTarget m;
@@ -434,7 +431,7 @@ util::Bytes encode(const FlushReq& m) {
   return w.take();
 }
 
-std::optional<FlushReq> decode_flush_req(std::span<const std::byte> data) {
+std::optional<FlushReq> decode_flush_req(util::Datagram data) {
   auto r = body(data, MsgType::kFlushReq);
   if (!r) return std::nullopt;
   FlushReq m;
@@ -467,7 +464,7 @@ util::Bytes encode(const FlushReply& m) {
   return w.take();
 }
 
-std::optional<FlushReply> decode_flush_reply(std::span<const std::byte> data) {
+std::optional<FlushReply> decode_flush_reply(util::Datagram data) {
   auto r = body(data, MsgType::kFlushReply);
   if (!r) return std::nullopt;
   FlushReply m;
@@ -509,7 +506,7 @@ util::Bytes encode(const FlushDone& m) {
   return w.take();
 }
 
-std::optional<FlushDone> decode_flush_done(std::span<const std::byte> data) {
+std::optional<FlushDone> decode_flush_done(util::Datagram data) {
   auto r = body(data, MsgType::kFlushDone);
   if (!r) return std::nullopt;
   FlushDone m;
@@ -538,7 +535,7 @@ util::Bytes encode(const Install& m) {
   return w.take();
 }
 
-std::optional<Install> decode_install(std::span<const std::byte> data) {
+std::optional<Install> decode_install(util::Datagram data) {
   auto r = body(data, MsgType::kInstall);
   if (!r) return std::nullopt;
   Install m;

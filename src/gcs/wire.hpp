@@ -20,6 +20,7 @@
 
 #include "gcs/types.hpp"
 #include "util/codec.hpp"
+#include "util/frame.hpp"
 
 namespace ftvod::gcs::wire {
 
@@ -226,19 +227,18 @@ void seal_batch(util::Writer& w);
 /// Peeks the type tag; nullopt for an empty/garbage datagram.
 std::optional<MsgType> peek_type(std::span<const std::byte> data);
 
-// Decoders return nullopt on any malformed input.
-std::optional<Heartbeat> decode_heartbeat(std::span<const std::byte> data);
-std::optional<std::vector<Submit>> decode_submit(
-    std::span<const std::byte> data);
-std::optional<std::vector<Ordered>> decode_ordered(
-    std::span<const std::byte> data);
-std::optional<RetransReq> decode_retrans_req(std::span<const std::byte> data);
-std::optional<Propose> decode_propose(std::span<const std::byte> data);
-std::optional<ProposeAck> decode_propose_ack(std::span<const std::byte> data);
-std::optional<FlushTarget> decode_flush_target(std::span<const std::byte> data);
-std::optional<FlushReq> decode_flush_req(std::span<const std::byte> data);
-std::optional<FlushReply> decode_flush_reply(std::span<const std::byte> data);
-std::optional<FlushDone> decode_flush_done(std::span<const std::byte> data);
-std::optional<Install> decode_install(std::span<const std::byte> data);
+// Decoders return nullopt on any malformed input. They take a raw datagram
+// or one frame_open() already verified (see util::Datagram).
+std::optional<Heartbeat> decode_heartbeat(util::Datagram data);
+std::optional<std::vector<Submit>> decode_submit(util::Datagram data);
+std::optional<std::vector<Ordered>> decode_ordered(util::Datagram data);
+std::optional<RetransReq> decode_retrans_req(util::Datagram data);
+std::optional<Propose> decode_propose(util::Datagram data);
+std::optional<ProposeAck> decode_propose_ack(util::Datagram data);
+std::optional<FlushTarget> decode_flush_target(util::Datagram data);
+std::optional<FlushReq> decode_flush_req(util::Datagram data);
+std::optional<FlushReply> decode_flush_reply(util::Datagram data);
+std::optional<FlushDone> decode_flush_done(util::Datagram data);
+std::optional<Install> decode_install(util::Datagram data);
 
 }  // namespace ftvod::gcs::wire

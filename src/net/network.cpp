@@ -76,6 +76,7 @@ const LinkQuality& Network::quality(NodeId a, NodeId b) const {
 }
 
 void Network::partition(const std::vector<std::set<NodeId>>& components) {
+  book_arrived();
   partitioned_ = !components.empty();
   implicit_component_ =
       partitioned_ ? static_cast<std::uint32_t>(components.size()) : 0;
@@ -92,6 +93,7 @@ void Network::partition(const std::vector<std::set<NodeId>>& components) {
 }
 
 void Network::heal() {
+  book_arrived();
   partitioned_ = false;
   implicit_component_ = 0;
   component_.assign(hosts_.size(), 0);
@@ -104,8 +106,9 @@ bool Network::reachable(NodeId a, NodeId b) const {
 }
 
 void Network::crash_host(NodeId node) {
-  Host& h = hosts_.at(node);
-  if (!h.alive) return;
+  if (!hosts_.at(node).alive) return;
+  book_arrived();
+  Host& h = hosts_[node];
   h.alive = false;
   util::log_info(kLog, "host ", h.name, " (n", node, ") crashed");
   // Listeners may re-register during iteration; work on a copy.
@@ -115,6 +118,7 @@ void Network::crash_host(NodeId node) {
 }
 
 void Network::restore_host(NodeId node) {
+  book_arrived();
   Host& h = hosts_.at(node);
   h.alive = true;
   // Both directions restart idle: traffic queued before the crash must not
@@ -231,6 +235,10 @@ void Network::send_from_socket(Socket& src, const Endpoint& to,
   // duplicated packet was damaged (or not) upstream of the branch point, so
   // both copies share its fate.
   apply_damage(q, h, *data);
+  Host& dst = hosts_[to.node];
+  const auto downlink_us = static_cast<sim::Duration>(
+      static_cast<double>(wire_size) * 8e6 / dst.cfg.downlink_bps);
+  const sim::Duration hold = downlink_us > 1 ? downlink_us : 0;
   const int copies = rng_->bernoulli(q.duplicate) ? 2 : 1;
   for (int i = 0; i < copies; ++i) {
     const sim::Duration jitter =
@@ -248,11 +256,25 @@ void Network::send_from_socket(Socket& src, const Endpoint& to,
           rng_->uniform(0.0, static_cast<double>(span)));
       ++h.stats.reordered;
     }
-    const sim::Time arrival = departure + q.base_delay + jitter + reorder_delay;
+    const sim::Time first_bit =
+        departure + q.base_delay + jitter + reorder_delay;
+    std::uint32_t slot = in_flight_free_;
+    if (slot != kNoSlot) {
+      in_flight_free_ = in_flight_[slot].next_free;
+    } else {
+      slot = static_cast<std::uint32_t>(in_flight_.size());
+      in_flight_.emplace_back();
+    }
     ++data->refs;
-    sched_->at(arrival, [this, from, to, data, wire_size] {
-      deliver(from, to, data, wire_size);
-    });
+    InFlight& d = in_flight_[slot];
+    d = InFlight{.from = from,
+                 .to = to,
+                 .data = data,
+                 .wire_size = wire_size,
+                 .key = {first_bit, next_seq_++, slot}};
+    dst.unbooked.push_back(d.key);
+    std::push_heap(dst.unbooked.begin(), dst.unbooked.end(), later);
+    sched_->at(first_bit + hold, [this, slot] { arrive(slot); });
   }
 }
 
@@ -282,72 +304,93 @@ bool Network::apply_damage(const LinkQuality& q, Host& sender,
   return damaged;
 }
 
-void Network::deliver(Endpoint from, Endpoint to, PayloadBuffer* data,
-                      std::size_t wire_size) {
-  if (to.node >= hosts_.size()) {
-    release_ref(data);
-    return;
+void Network::book_through(NodeId node, const Arrival& through) {
+  Host& h = hosts_[node];
+  while (!h.unbooked.empty() && !later(h.unbooked.front(), through)) {
+    std::pop_heap(h.unbooked.begin(), h.unbooked.end(), later);
+    InFlight& d = in_flight_[h.unbooked.back().slot];
+    h.unbooked.pop_back();
+    d.booked = true;
+    if (!reachable(d.from.node, node)) {
+      ++h.stats.dropped_unreachable;
+      d.dropped = true;
+      continue;
+    }
+    // Downlink serialization: arriving datagrams share the receiver's
+    // last-mile capacity, whatever socket (or none) they are addressed to.
+    const sim::Time first_bit = d.key.first_bit;
+    const sim::Time start = std::max(first_bit, h.downlink_free_at);
+    const double queued_bytes =
+        static_cast<double>(start - first_bit) * h.cfg.downlink_bps / 8e6;
+    if (queued_bytes > static_cast<double>(h.cfg.downlink_queue_bytes)) {
+      ++h.stats.dropped_queue;
+      d.dropped = true;
+      continue;
+    }
+    const auto serialize_us = static_cast<sim::Duration>(
+        static_cast<double>(d.wire_size) * 8e6 / h.cfg.downlink_bps);
+    h.downlink_free_at = start + std::max<sim::Duration>(serialize_us, 1);
+    if (start == first_bit) {
+      // An idle downlink: the hand-off is the datagram's own event.
+      d.hand_off_at = first_bit + (serialize_us > 1 ? serialize_us : 0);
+    } else {
+      ++h.stats.downlink_waits;
+      d.hand_off_at = h.downlink_free_at;
+    }
   }
-  Host& h = hosts_[to.node];
-  // Re-check at arrival time: the destination may have crashed or been
-  // partitioned away while the packet was in flight.
-  if (!h.alive || !reachable(from.node, to.node)) {
-    ++h.stats.dropped_unreachable;
-    release_ref(data);
-    return;
-  }
-  // Downlink serialization: arriving datagrams share the receiver's
-  // last-mile capacity, whatever socket (or none) they are addressed to.
-  const sim::Time now = sched_->now();
-  const sim::Time start = std::max(now, h.downlink_free_at);
-  const double queued_bytes =
-      static_cast<double>(start - now) * h.cfg.downlink_bps / 8e6;
-  if (queued_bytes > static_cast<double>(h.cfg.downlink_queue_bytes)) {
-    ++h.stats.dropped_queue;
-    release_ref(data);
-    return;
-  }
-  const auto serialize_us = static_cast<sim::Duration>(
-      static_cast<double>(wire_size) * 8e6 / h.cfg.downlink_bps);
-  h.downlink_free_at = start + std::max<sim::Duration>(serialize_us, 1);
-  if (h.downlink_free_at == now + 1 && start == now) {
-    // Fast path: an idle, effectively-unlimited downlink. The reference
-    // transfers to hand_off.
-    hand_off(from, to, data, wire_size);
-    return;
-  }
-  // The reference travels with the rescheduled delivery.
-  sched_->at(h.downlink_free_at, [this, from, to, data, wire_size] {
-    hand_off(from, to, data, wire_size);
-  });
 }
 
-void Network::hand_off(Endpoint from, Endpoint to, PayloadBuffer* data,
-                       std::size_t wire_size) {
-  if (to.node >= hosts_.size()) {
-    release_ref(data);
-    return;
+void Network::book_arrived() {
+  const Arrival through{sched_->now(), ~std::uint64_t{0}, 0};
+  for (NodeId n = 0; n < hosts_.size(); ++n) book_through(n, through);
+}
+
+void Network::arrive(std::uint32_t slot) {
+  InFlight& d = in_flight_[slot];
+  const bool booked_here = !d.booked;
+  book_through(d.to.node, d.key);
+  if (d.dropped) {
+    release_in_flight(slot);
+  } else if (d.hand_off_at == sched_->now()) {
+    hand_off(slot, booked_here);
+  } else {
+    sched_->at(d.hand_off_at, [this, slot] { hand_off(slot, false); });
   }
-  Host& h = hosts_[to.node];
-  if (!h.alive || !reachable(from.node, to.node)) {
+}
+
+void Network::hand_off(std::uint32_t slot, bool checked) {
+  InFlight& d = in_flight_[slot];
+  Host& h = hosts_[d.to.node];
+  if (!checked && !reachable(d.from.node, d.to.node)) {
     ++h.stats.dropped_unreachable;
-    release_ref(data);
+    release_in_flight(slot);
     return;
   }
-  Socket* sock = find_socket(h, to.port);
+  Socket* sock = find_socket(h, d.to.port);
   if (sock == nullptr) {
     ++h.stats.dropped_unreachable;
-    release_ref(data);
+    release_in_flight(slot);
     return;
   }
   ++h.stats.datagrams_received;
-  h.stats.bytes_received += wire_size;
+  h.stats.bytes_received += d.wire_size;
   ++sock->stats_.datagrams_received;
-  sock->stats_.bytes_received += wire_size;
-  // Dispatch before releasing: the handler may itself send, which can pop
-  // the free list, but this buffer is still referenced until after return.
+  sock->stats_.bytes_received += d.wire_size;
+  // Free the slot before dispatching (the handler may send, which can
+  // reuse it), but keep the payload referenced until after return.
+  const Endpoint from = d.from;
+  PayloadBuffer* data = d.data;
+  d.next_free = in_flight_free_;
+  in_flight_free_ = slot;
   if (sock->handler_) sock->handler_(from, data->bytes);
   release_ref(data);
+}
+
+void Network::release_in_flight(std::uint32_t slot) {
+  InFlight& d = in_flight_[slot];
+  release_ref(d.data);
+  d.next_free = in_flight_free_;
+  in_flight_free_ = slot;
 }
 
 }  // namespace ftvod::net

@@ -1,5 +1,6 @@
 // Simulated datagram network. Models, per packet:
 //   * serialization delay at the sender's uplink (rate + tail-drop queue),
+//   * the same at the receiver's downlink, booked in first-bit order,
 //   * propagation delay with uniform jitter (reordering emerges naturally),
 //   * i.i.d. loss, Gilbert–Elliott bursty loss, and optional duplication,
 //   * payload corruption (bit flips) and truncation in flight,
@@ -40,6 +41,9 @@ struct HostStats {
   std::uint64_t corrupted = 0;   // payloads damaged by bit flips in flight
   std::uint64_t truncated = 0;   // payloads cut short in flight
   std::uint64_t reordered = 0;   // deliveries given the extra reorder delay
+  /// Datagrams that found this host's downlink busy on arrival and queued
+  /// behind earlier traffic (each costs a second scheduler event).
+  std::uint64_t downlink_waits = 0;
 };
 
 class Network {
@@ -105,12 +109,26 @@ class Network {
  private:
   friend class Socket;
 
+  /// A datagram copy waiting for its downlink slot: a min-heap entry
+  /// ordered by (first-bit time, send order).
+  struct Arrival {
+    sim::Time first_bit;
+    std::uint64_t seq;
+    std::uint32_t slot;  // into in_flight_
+  };
+  static bool later(const Arrival& a, const Arrival& b) {
+    if (a.first_bit != b.first_bit) return a.first_bit > b.first_bit;
+    return a.seq > b.seq;
+  }
+
   struct Host {
     std::string name;
     HostConfig cfg;
     bool alive = true;
     sim::Time uplink_free_at = 0;    // when the uplink drains its queue
     sim::Time downlink_free_at = 0;  // when the downlink drains its queue
+    /// Datagrams to this host whose downlink slot is not booked yet.
+    std::vector<Arrival> unbooked;
     /// Bound sockets. A host binds one to three ports, so a linear scan
     /// of this list beats hashing on every delivery.
     std::vector<std::pair<Port, Socket*>> sockets;
@@ -119,26 +137,54 @@ class Network {
   };
 
   /// In-flight payload storage. Buffers are pooled and intrusively
-  /// refcounted: each scheduled (or directly invoked) delivery holds one
-  /// reference, and the buffer returns to the free list — capacity intact —
-  /// when the last copy is dispatched or dropped. This keeps the per-packet
-  /// path free of heap allocations in steady state (no shared_ptr control
-  /// blocks, no fresh byte vectors).
+  /// refcounted: each datagram copy in flight holds one reference, and the
+  /// buffer returns to the free list — capacity intact — when the last
+  /// copy is dispatched or dropped. This keeps the per-packet path free of
+  /// heap allocations in steady state (no shared_ptr control blocks, no
+  /// fresh byte vectors).
   struct PayloadBuffer {
     util::Bytes bytes;
     std::uint32_t refs = 0;
   };
 
+  /// One datagram copy from send to hand-off, in the recycled `in_flight_`
+  /// slab. Its one scheduler event fires at its first bit plus the
+  /// receiver's downlink serialization, or at the first bit when that is
+  /// at most 1 µs: the moment an idle downlink hands it off. Its downlink
+  /// slot may be booked earlier, by a later datagram's event or by a
+  /// topology change; only a datagram that had to queue takes a second
+  /// event, at the end of its slot.
+  struct InFlight {
+    Endpoint from;
+    Endpoint to;
+    PayloadBuffer* data = nullptr;
+    std::size_t wire_size = 0;
+    Arrival key{};
+    bool booked = false;
+    bool dropped = false;       // at booking: unreachable or tail-dropped
+    sim::Time hand_off_at = 0;  // once booked and not dropped
+    std::uint32_t next_free = 0;
+  };
+
   void send_from_socket(Socket& src, const Endpoint& to,
                         std::span<const std::byte> payload,
                         std::size_t padding_bytes);
-  /// Link arrival: applies downlink serialization/queueing, then hands off.
-  /// Consumes one reference on `data`.
-  void deliver(Endpoint from, Endpoint to, PayloadBuffer* data,
-               std::size_t wire_size);
-  /// Final dispatch to the bound socket. Consumes one reference on `data`.
-  void hand_off(Endpoint from, Endpoint to, PayloadBuffer* data,
-                std::size_t wire_size);
+  /// A datagram copy's event: books the receiver's downlink through it,
+  /// then hands it off, or re-schedules the hand-off when it queued.
+  void arrive(std::uint32_t slot);
+  /// Books, in key order, every unbooked datagram to `node` whose key is
+  /// at most `through`. Booking keeps the arrival-time rule: start =
+  /// max(first bit, downlink free), tail-drop on the bytes queued ahead,
+  /// then free = start + max(serialization, 1).
+  void book_through(NodeId node, const Arrival& through);
+  /// Books every datagram whose first bit has arrived. Topology changes
+  /// call this first, so a booking always sees the reachability of its
+  /// datagram's first-bit time.
+  void book_arrived();
+  /// Final dispatch to the bound socket. `checked`: booking tested
+  /// reachability in this same event. Frees the slot.
+  void hand_off(std::uint32_t slot, bool checked);
+  void release_in_flight(std::uint32_t slot);
   void unbind(const Socket& s);
   [[nodiscard]] static Socket* find_socket(const Host& h, Port port);
 
@@ -165,6 +211,10 @@ class Network {
   std::vector<std::uint32_t> component_;
   std::vector<std::unique_ptr<PayloadBuffer>> buffer_slab_;
   std::vector<PayloadBuffer*> buffer_free_;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  std::vector<InFlight> in_flight_;
+  std::uint32_t in_flight_free_ = kNoSlot;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t total_wire_bytes_ = 0;
 };
 

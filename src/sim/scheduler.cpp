@@ -174,6 +174,11 @@ Scheduler::EventHandle Scheduler::after(Duration d, Callback cb) {
 bool Scheduler::step() {
   prepare_next();
   if (heap_.empty()) return false;
+  run_top();
+  return true;
+}
+
+void Scheduler::run_top() {
   const HeapEntry e = heap_pop();
   // Move the callback out and retire the slot *before* invoking: the
   // callback may reschedule into the same slot, and handles must already
@@ -184,7 +189,6 @@ bool Scheduler::step() {
   now_ = e.t;
   ++executed_;
   cb();
-  return true;
 }
 
 std::size_t Scheduler::run() {
@@ -202,7 +206,8 @@ std::size_t Scheduler::run_until(Time t) {
     // nothing staged in the wheel could still precede the heap top.
     prepare_next();
     if (heap_.empty() || heap_.front().t > t) break;
-    if (step()) ++n;
+    run_top();
+    ++n;
   }
   now_ = std::max(now_, t);
   return n;

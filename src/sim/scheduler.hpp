@@ -33,8 +33,8 @@ namespace ftvod::sim {
 class Scheduler {
  public:
   /// Inline capacity covers every hot-path lambda in the library (the
-  /// largest is the network's delivery closure at ~40 bytes); anything
-  /// bigger degrades gracefully to one heap allocation.
+  /// network's per-datagram closure is 16 bytes); anything bigger
+  /// degrades gracefully to one heap allocation.
   using Callback = util::SmallFunction<void(), 64>;
 
   /// Cancellation token for a scheduled event. Copyable; cancelling any copy
@@ -133,6 +133,8 @@ class Scheduler {
   /// minimum: drains every wheel bucket whose start time could still hide
   /// an earlier event, then strips tombstones.
   void prepare_next();
+  /// Runs the heap top; prepare_next() must have run since the last pop.
+  void run_top();
   [[nodiscard]] static Time bucket_start(std::uint64_t bucket) {
     return static_cast<Time>(bucket << kWheelShift);
   }

@@ -37,13 +37,12 @@ std::optional<std::span<const std::byte>> frame_peek(
   return datagram.subspan(kIntegrityHeaderBytes);
 }
 
-std::optional<std::span<const std::byte>> frame_open(
-    std::span<const std::byte> datagram) {
+std::optional<Opened> frame_open(std::span<const std::byte> datagram) {
   const auto body = frame_peek(datagram);
   if (!body) return std::nullopt;
   const std::uint32_t want = read_u32_le(datagram.data() + 4);
   if (crc32c(*body) != want) return std::nullopt;
-  return body;
+  return Opened{*body};
 }
 
 }  // namespace ftvod::util

@@ -164,7 +164,8 @@ void VodClient::on_datagram(const net::Endpoint& from,
   if (halted_ || !buffers_) return;
   // Integrity gate: the data socket is the one channel exposed to raw wire
   // damage (frames bypass GCS), so verify before any decoding.
-  if (!util::frame_open(d)) {
+  const auto opened = util::frame_open(d);
+  if (!opened) {
     data_socket_->note_corrupt_dropped();
     ++control_stats_.malformed_dropped;
     return;
@@ -173,7 +174,7 @@ void VodClient::on_datagram(const net::Endpoint& from,
     ++control_stats_.malformed_dropped;
     return;
   }
-  if (const auto f = wire::decode_frame(d)) {
+  if (const auto f = wire::decode_frame(*opened)) {
     if (f->client_id == client_id_) on_frame(*f);
   } else {
     ++control_stats_.malformed_dropped;
@@ -189,7 +190,7 @@ void VodClient::on_frame(const wire::Frame& f) {
       buffers_->hw_frames() >=
           static_cast<std::size_t>(params_.display_prefill_frames)) {
     playing_ = true;
-    if (!paused_) display_timer_.start();
+    if (!paused_) start_display();
   }
 
   if (const auto action = flow_.on_frame_received(
@@ -231,15 +232,15 @@ void VodClient::send_flow(FlowAction action) {
 
 void VodClient::watchdog_tick() {
   if (halted_ || !connected_ || paused_ || !buffers_) return;
+  check_stream();
+}
+
+void VodClient::check_stream() {
   // Session-loss recovery: if nothing has arrived for much longer than any
   // takeover needs (e.g. this client was partitioned away long enough for
   // the servers to declare it failed and tear the session down), go back
   // to the server group and ask again.
-  const bool at_end =
-      movie_frames_ > 0 &&
-      buffers_->last_displayed() + 1 >=
-          static_cast<std::int64_t>(movie_frames_);
-  if (!at_end &&
+  if (!at_end() &&
       sched_->now() - last_frame_at_ > params_.reconnect_timeout) {
     util::log_info(kLog, "client ", client_id_,
                    " lost its stream; re-requesting '", movie_, "'");
@@ -261,7 +262,7 @@ void VodClient::watchdog_tick() {
       last_progress_frame_ = shown;
       last_progress_at_ = sched_->now();
       resync_attempts_ = 0;
-    } else if (!at_end &&
+    } else if (!at_end() &&
                sched_->now() - last_progress_at_ > params_.reconnect_timeout) {
       last_progress_at_ = sched_->now();
       if (++resync_attempts_ <= 2) {
@@ -293,6 +294,15 @@ void VodClient::watchdog_tick() {
 void VodClient::display_tick() {
   if (halted_ || paused_ || !buffers_) return;
   (void)buffers_->consume();
+  // The display clock carries the watchdog while it runs: occupancy only
+  // falls here (and in a seek's flush), so the checks lose nothing by
+  // running at the display rate instead of on a clock of their own.
+  if (connected_) check_stream();
+}
+
+void VodClient::start_display() {
+  display_timer_.start();
+  watchdog_timer_.stop();
 }
 
 // ------------------------------------------------------------- VCR control
@@ -308,7 +318,7 @@ void VodClient::pause() {
 void VodClient::resume() {
   if (!session_member_) return;
   paused_ = false;
-  if (playing_) display_timer_.start();
+  if (playing_) start_display();
   session_member_->send(
       wire::encode(wire::Vcr{client_id_, wire::VcrOp::kResume, 0}));
 }

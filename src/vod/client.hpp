@@ -6,6 +6,7 @@
 // The client runs the Figure-2 flow-control policy on every received frame,
 // a watchdog that raises emergencies even when nothing arrives (outages),
 // and a display loop consuming one frame per period from the decoder model.
+// A playing client has one clock: the display tick runs the watchdog.
 #pragma once
 
 #include <memory>
@@ -90,6 +91,11 @@ class VodClient {
     return buffers_ ? buffers_->occupancy_fraction() : 0.0;
   }
   [[nodiscard]] const VodParams& params() const { return params_; }
+  /// True while the stand-alone watchdog clock runs: before playback
+  /// starts. A running display clock carries the watchdog checks itself.
+  [[nodiscard]] bool watchdog_clock_running() const {
+    return watchdog_timer_.running();
+  }
   [[nodiscard]] const net::SocketStats& data_socket_stats() const {
     return data_socket_->stats();
   }
@@ -104,6 +110,12 @@ class VodClient {
   void on_frame(const wire::Frame& f);
   void display_tick();
   void watchdog_tick();
+  /// The watchdog body: reconnect deadline, display-progress resync and
+  /// the emergency thresholds. Runs on the display clock while that runs,
+  /// and on the 10 Hz watchdog clock only before it starts (prefill).
+  void check_stream();
+  /// Starts the display clock, which takes the watchdog over.
+  void start_display();
   void send_open_request();
   void send_flow(FlowAction action);
   void update_display_rate();

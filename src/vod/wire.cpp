@@ -13,10 +13,10 @@ void begin(util::Writer& w, MsgType t) {
 
 /// Verifies the integrity frame and the tag, returning a reader positioned
 /// on the first body field. Damaged datagrams never reach a decoder.
-std::optional<util::Reader> body(std::span<const std::byte> data, MsgType t) {
-  const auto opened = util::frame_open(data);
+std::optional<util::Reader> body(util::Datagram data, MsgType t) {
+  const auto opened = data.open();
   if (!opened) return std::nullopt;
-  util::Reader r(*opened);
+  util::Reader r(opened->body);
   if (r.u8() != static_cast<std::uint8_t>(t) || !r.ok()) return std::nullopt;
   return r;
 }
@@ -43,7 +43,7 @@ net::Endpoint get_endpoint(util::Reader& r) {
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data) {
   // Structural frame check only (no CRC): demux is on the hot path, and the
-  // per-type decoder re-verifies the full checksum via body().
+  // checksum is verified once, by the receiver or by the decoder's body().
   const auto opened = util::frame_peek(data);
   if (!opened || opened->empty()) return std::nullopt;
   const auto t = std::to_integer<std::uint8_t>((*opened)[0]);
@@ -69,7 +69,7 @@ util::Bytes encode(const OpenRequest& m) {
   return w.take();
 }
 
-std::optional<OpenRequest> decode_open_request(std::span<const std::byte> d) {
+std::optional<OpenRequest> decode_open_request(util::Datagram d) {
   auto r = body(d, MsgType::kOpenRequest);
   if (!r) return std::nullopt;
   OpenRequest m;
@@ -98,7 +98,7 @@ util::Bytes encode(const OpenReply& m) {
   return w.take();
 }
 
-std::optional<OpenReply> decode_open_reply(std::span<const std::byte> d) {
+std::optional<OpenReply> decode_open_reply(util::Datagram d) {
   auto r = body(d, MsgType::kOpenReply);
   if (!r) return std::nullopt;
   OpenReply m;
@@ -125,7 +125,7 @@ util::Bytes encode(const Flow& m) {
   return w.take();
 }
 
-std::optional<Flow> decode_flow(std::span<const std::byte> d) {
+std::optional<Flow> decode_flow(util::Datagram d) {
   auto r = body(d, MsgType::kFlow);
   if (!r) return std::nullopt;
   Flow m;
@@ -149,7 +149,7 @@ util::Bytes encode(const Emergency& m) {
   return w.take();
 }
 
-std::optional<Emergency> decode_emergency(std::span<const std::byte> d) {
+std::optional<Emergency> decode_emergency(util::Datagram d) {
   auto r = body(d, MsgType::kEmergency);
   if (!r) return std::nullopt;
   Emergency m;
@@ -174,7 +174,7 @@ util::Bytes encode(const Vcr& m) {
   return w.take();
 }
 
-std::optional<Vcr> decode_vcr(std::span<const std::byte> d) {
+std::optional<Vcr> decode_vcr(util::Datagram d) {
   auto r = body(d, MsgType::kVcr);
   if (!r) return std::nullopt;
   Vcr m;
@@ -199,7 +199,7 @@ util::Bytes encode(const SetQuality& m) {
   return w.take();
 }
 
-std::optional<SetQuality> decode_set_quality(std::span<const std::byte> d) {
+std::optional<SetQuality> decode_set_quality(util::Datagram d) {
   auto r = body(d, MsgType::kSetQuality);
   if (!r) return std::nullopt;
   SetQuality m;
@@ -233,7 +233,7 @@ util::Bytes encode(const StateSync& m) {
   return w.take();
 }
 
-std::optional<StateSync> decode_state_sync(std::span<const std::byte> d) {
+std::optional<StateSync> decode_state_sync(util::Datagram d) {
   auto r = body(d, MsgType::kStateSync);
   if (!r) return std::nullopt;
   StateSync m;
@@ -277,7 +277,7 @@ util::Bytes encode(const Frame& m) {
   return w.take();
 }
 
-std::optional<Frame> decode_frame(std::span<const std::byte> d) {
+std::optional<Frame> decode_frame(util::Datagram d) {
   auto r = body(d, MsgType::kFrame);
   if (!r) return std::nullopt;
   Frame m;

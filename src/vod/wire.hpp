@@ -126,13 +126,13 @@ util::Bytes encode(const StateSync& m);
 util::Bytes encode(const Frame& m);
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data);
-std::optional<OpenRequest> decode_open_request(std::span<const std::byte> d);
-std::optional<OpenReply> decode_open_reply(std::span<const std::byte> d);
-std::optional<Flow> decode_flow(std::span<const std::byte> d);
-std::optional<Emergency> decode_emergency(std::span<const std::byte> d);
-std::optional<Vcr> decode_vcr(std::span<const std::byte> d);
-std::optional<SetQuality> decode_set_quality(std::span<const std::byte> d);
-std::optional<StateSync> decode_state_sync(std::span<const std::byte> d);
-std::optional<Frame> decode_frame(std::span<const std::byte> d);
+std::optional<OpenRequest> decode_open_request(util::Datagram d);
+std::optional<OpenReply> decode_open_reply(util::Datagram d);
+std::optional<Flow> decode_flow(util::Datagram d);
+std::optional<Emergency> decode_emergency(util::Datagram d);
+std::optional<Vcr> decode_vcr(util::Datagram d);
+std::optional<SetQuality> decode_set_quality(util::Datagram d);
+std::optional<StateSync> decode_state_sync(util::Datagram d);
+std::optional<Frame> decode_frame(util::Datagram d);
 
 }  // namespace ftvod::vod::wire

@@ -50,6 +50,12 @@ constexpr double kMaxEventsPerClientSimSecond = 200.0;
 // hold these there.
 constexpr double kMaxDeliveredPerOrdered = 4.0;
 constexpr double kMaxRetransPerOrdered = 0.01;
+// Scheduler events per frame sent on the datacenter NICs, also exact per
+// seed. A frame costs one arrival event (downlink serialization folded in),
+// one send tick and about one display tick, which also runs a playing
+// client's watchdog. Measured 3.19; 4.43 before those two folds, and
+// reverting either one alone lands above the bound.
+constexpr double kMaxEventsPerFrame = 3.4;
 
 struct SliceCounts {
   std::size_t watching = 0;
@@ -57,6 +63,7 @@ struct SliceCounts {
   std::uint64_t events = 0;
   double allocs_per_frame = 0;
   double events_per_client_s = 0;
+  double events_per_frame = 0;
   std::uint64_t ordered = 0;
   double delivered_per_ordered = 0;
   double retrans_per_ordered = 0;
@@ -181,6 +188,8 @@ SliceCounts run_slice(const char* label, const net::HostConfig& core) {
   c.events_per_client_s =
       static_cast<double>(c.events) /
       (static_cast<double>(kClients) * kMeasureSimSeconds);
+  c.events_per_frame =
+      static_cast<double>(c.events) / static_cast<double>(c.frames);
   c.delivered_per_ordered =
       static_cast<double>(gcs1.messages_delivered - gcs0.messages_delivered) /
       static_cast<double>(c.ordered);
@@ -193,11 +202,13 @@ SliceCounts run_slice(const char* label, const net::HostConfig& core) {
 
   std::printf(
       "[scale_smoke] %s watching=%zu frames=%llu events=%llu "
-      "allocs/frame=%.3f events/(client*sim-s)=%.1f ordered=%llu "
-      "delivered/ordered=%.3f retrans/ordered=%.4f wall=%.1fs\n",
+      "allocs/frame=%.3f events/(client*sim-s)=%.1f events/frame=%.3f "
+      "ordered=%llu delivered/ordered=%.3f retrans/ordered=%.4f "
+      "wall=%.1fs\n",
       label, c.watching, static_cast<unsigned long long>(c.frames),
       static_cast<unsigned long long>(c.events), c.allocs_per_frame,
-      c.events_per_client_s, static_cast<unsigned long long>(c.ordered),
+      c.events_per_client_s, c.events_per_frame,
+      static_cast<unsigned long long>(c.ordered),
       c.delivered_per_ordered, c.retrans_per_ordered, wall_s);
   // Generous wall cap below the CTest TIMEOUT: catches runaway slowness
   // with a readable message before ctest kills the binary.
@@ -232,6 +243,10 @@ TEST(ScaleSmoke, GcsCostPerOrderedMessageOnDatacenterNics) {
          "host no member of their group?)";
   EXPECT_LT(c.retrans_per_ordered, kMaxRetransPerOrdered)
       << "GCS retransmission regression on a lossless LAN";
+  EXPECT_LE(c.events_per_frame, kMaxEventsPerFrame)
+      << "scheduler events per frame regressed (a second event per "
+         "datagram for downlink serialization, or a per-client clock "
+         "beside the display tick?)";
 }
 
 }  // namespace

@@ -92,6 +92,114 @@ TEST_F(DownlinkTest, DefaultDownlinkIsTransparent) {
   EXPECT_EQ(net.stats(y).dropped_queue, 0u);
 }
 
+// One scheduler event per datagram: its hand-off event is scheduled at send
+// time for first bit + downlink serialization, and only a datagram that
+// finds the downlink busy takes a second one. On the fixture's links a
+// datagram of `wire` bytes leaves the 100 Mbps uplink after wire * 0.08 µs
+// (truncated), travels 200 µs, and serializes at 8 µs per byte on the
+// receiver's 1 Mbps downlink.
+constexpr std::size_t kBigWire = 4 + 1'000 + Network::kHeaderBytes;  // 1032
+constexpr sim::Duration kBigUplink = 82;                   // 82.56 µs
+constexpr sim::Duration kBigDownlink = 8 * kBigWire;       // 8256 µs
+constexpr sim::Duration kPropagation = 200;
+
+TEST_F(DownlinkTest, IdleDownlinkDatagramCostsOneEvent) {
+  auto sa = net_.bind(a_, 1, nullptr);
+  std::vector<sim::Time> at;
+  auto sb = net_.bind(b_, 2, [&](const Endpoint&, std::span<const std::byte>) {
+    at.push_back(sched_.now());
+  });
+  sa->send({b_, 2}, small_msg(), 1'000);
+  EXPECT_EQ(sched_.run(), 1u);
+  EXPECT_EQ(at, std::vector<sim::Time>{kBigUplink + kPropagation +
+                                       kBigDownlink});
+  EXPECT_EQ(net_.stats(b_).downlink_waits, 0u);
+
+  // A datagram that serializes in under 1 µs is handed off at its first bit.
+  const NodeId fast = net_.add_host("fast");
+  sim::Time fast_at = 0;
+  auto sf = net_.bind(fast, 2, [&](const Endpoint&,
+                                   std::span<const std::byte>) {
+    fast_at = sched_.now();
+  });
+  const sim::Time sent = sched_.now();
+  sa->send({fast, 2}, small_msg());
+  EXPECT_EQ(sched_.run(), 1u);
+  EXPECT_EQ(fast_at, sent + 2 + kPropagation);  // 32 B: 2.56 µs uplink
+}
+
+TEST_F(DownlinkTest, SmallDatagramWaitsForALargerEarlierOne) {
+  // The small datagram's first bit arrives while the large one is still
+  // serializing, and its own event comes first (it holds the downlink for
+  // only 256 µs). Booking in first-bit order queues it behind the large one
+  // anyway, as a downlink that received the bits in that order would.
+  const NodeId j = net_.add_host("other-sender");
+  auto sj = net_.bind(j, 1, nullptr);
+  auto sa = net_.bind(a_, 1, nullptr);
+  std::vector<std::pair<sim::Time, std::size_t>> got;
+  auto sb = net_.bind(b_, 2, [&](const Endpoint&,
+                                 std::span<const std::byte> d) {
+    got.emplace_back(sched_.now(), d.size());
+  });
+  sj->send({b_, 2}, small_msg(), 1'000);
+  sched_.at(1'000, [&] { sa->send({b_, 2}, small_msg()); });
+  // Events: the scheduled send, the large datagram's, and two for the
+  // small one (its arrival, then its hand-off after the wait).
+  EXPECT_EQ(sched_.run(), 4u);
+  const sim::Time big_done = kBigUplink + kPropagation + kBigDownlink;
+  const std::vector<std::pair<sim::Time, std::size_t>> want{
+      {big_done, 4}, {big_done + 8 * 32, 4}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(net_.stats(b_).downlink_waits, 1u);
+}
+
+TEST_F(DownlinkTest, DuplicateCopiesQueueBehindEachOther) {
+  LinkQuality q;
+  q.duplicate = 1.0;
+  net_.set_quality(a_, b_, q);
+  auto sa = net_.bind(a_, 1, nullptr);
+  std::vector<sim::Time> at;
+  auto sb = net_.bind(b_, 2, [&](const Endpoint&, std::span<const std::byte>) {
+    at.push_back(sched_.now());
+  });
+  sa->send({b_, 2}, small_msg(), 1'000);
+  // Both copies' first bits arrive together; the second one serializes
+  // after the first, at the cost of one extra event.
+  EXPECT_EQ(sched_.run(), 3u);
+  const sim::Time first = kBigUplink + kPropagation + kBigDownlink;
+  EXPECT_EQ(at, (std::vector<sim::Time>{first, first + kBigDownlink}));
+  EXPECT_EQ(net_.stats(b_).downlink_waits, 1u);
+}
+
+TEST_F(DownlinkTest, CrashAndRestoreBookWhatArrivedBeforeThem) {
+  const NodeId far = net_.add_host("far-sender");
+  LinkQuality slow_path;
+  slow_path.base_delay = sim::msec(5);
+  net_.set_quality(far, b_, slow_path);
+  auto sa = net_.bind(a_, 1, nullptr);
+  auto sf = net_.bind(far, 1, nullptr);
+  std::vector<sim::Time> at;
+  auto sb = net_.bind(b_, 2, [&](const Endpoint&, std::span<const std::byte>) {
+    at.push_back(sched_.now());
+  });
+  // X's first bit reaches the live host at 282 µs, and its event is due at
+  // 8538 µs. Y's first bit lands at 5082 µs, while the host is down, and
+  // its event is due after the restore.
+  sa->send({b_, 2}, small_msg(), 1'000);
+  sf->send({b_, 2}, small_msg(), 1'000);
+  sched_.run_until(1'000);
+  net_.crash_host(b_);
+  sched_.run_until(6'000);
+  net_.restore_host(b_);
+  sched_.run();
+  // X was booked when the crash came, so it keeps its slot across the
+  // reboot; Y reached a dead host and is gone, whenever its event fires.
+  EXPECT_EQ(at, std::vector<sim::Time>{kBigUplink + kPropagation +
+                                       kBigDownlink});
+  EXPECT_EQ(net_.stats(b_).dropped_unreachable, 1u);
+  EXPECT_EQ(net_.stats(b_).datagrams_received, 1u);
+}
+
 TEST(TrafficGenerator, ProducesConfiguredRate) {
   sim::Scheduler sched;
   util::Rng rng(1);

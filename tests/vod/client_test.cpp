@@ -2,7 +2,11 @@
 // surfaces, reconnect logic, and robustness against malformed traffic.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "../integration/vod_testbed.hpp"
+#include "util/log.hpp"
 
 namespace ftvod::vod {
 namespace {
@@ -260,6 +264,108 @@ TEST(Client, WatchWhileWatchingSwitchesTitlesCleanly) {
   EXPECT_EQ(bed.client().movie(), "indie");
   EXPECT_EQ(bed.server(0).session_count("indie"), 1u);
   EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
+}
+
+// A playing client has one clock: its display tick runs the watchdog checks
+// (reconnect deadline, display-progress resync, emergency thresholds), and
+// the 10 Hz watchdog clock runs only before playback starts. The tests
+// below crash or cut off the server while the client plays and check that
+// each of those checks still fires, on time, from the display tick.
+
+TEST(Client, PlayingClientRunsOneClock) {
+  VodTestBed bed(1, 1);
+  bed.watch_all();
+  EXPECT_TRUE(bed.client().watchdog_clock_running());  // prefill: no display
+  bed.run_for(5.0);
+  ASSERT_TRUE(bed.client().playing());
+  EXPECT_FALSE(bed.client().watchdog_clock_running());
+  bed.client().pause();
+  bed.run_for(1.0);
+  EXPECT_FALSE(bed.client().watchdog_clock_running());
+  bed.client().resume();
+  bed.run_for(1.0);
+  EXPECT_FALSE(bed.client().watchdog_clock_running());
+  bed.client().watch("feature");  // a fresh session prefills again
+  EXPECT_TRUE(bed.client().watchdog_clock_running());
+}
+
+TEST(Client, ReconnectDeadlineFiresFromTheDisplayTick) {
+  VodTestBed bed(1, 1);
+  bed.watch_all();
+  bed.run_for(10.0);
+  ASSERT_TRUE(bed.client().playing());
+  bed.crash_server(0);  // the last frame is already on the wire or in
+  const VodParams p;
+  bed.run_for(sim::to_sec(p.reconnect_timeout) - 0.1);
+  EXPECT_TRUE(bed.client().connected());
+  bed.run_for(0.2);  // the deadline passed: a display tick noticed
+  EXPECT_FALSE(bed.client().connected());
+  EXPECT_FALSE(bed.client().watchdog_clock_running());
+  bed.run_for(1.5);  // and the re-request keeps retrying
+  EXPECT_GE(bed.client().control_stats().open_retries, 1u);
+}
+
+TEST(Client, WedgedStreamResyncsFromTheDisplayTick) {
+  // Stale frames keep arriving (so the reconnect deadline never fires) but
+  // the display cannot progress: the client must resync twice, then
+  // re-request the movie.
+  VodTestBed bed(1, 1);
+  bed.watch_all();
+  bed.run_for(10.0);
+  ASSERT_TRUE(bed.client().playing());
+  auto& dep = bed.deployment();
+  std::vector<std::string> lines;
+  util::Log::reset();
+  util::Log::set_level(util::LogLevel::kInfo);
+  util::Log::set_sink(
+      [&](std::string_view line) { lines.emplace_back(line); });
+
+  bed.crash_server(0);
+  const net::NodeId stale_host = dep.add_edge_host("stale-sender");
+  auto stale = dep.network().bind(stale_host, 1, nullptr);
+  const util::Bytes frame0 = wire::encode(wire::Frame{
+      bed.client().client_id(), 0, mpeg::FrameType::kI, 1'000});
+  const net::Endpoint client_data{dep.clients()[0]->node,
+                                  bed.client().params().client_data_port};
+  sim::PeriodicTimer sender(dep.scheduler(), sim::msec(33),
+                            [&] { stale->send(client_data, frame0); });
+  sender.start();
+  bed.run_for(16.0);
+  sender.stop();
+  util::Log::reset();
+
+  int resyncs = 0;
+  int unheard = 0;
+  int lost = 0;
+  for (const std::string& l : lines) {
+    if (l.find("resyncing at frame") != std::string::npos) ++resyncs;
+    if (l.find("resyncs went unheard") != std::string::npos) ++unheard;
+    if (l.find("lost its stream") != std::string::npos) ++lost;
+  }
+  EXPECT_EQ(resyncs, 2);
+  EXPECT_EQ(unheard, 1);
+  EXPECT_EQ(lost, 0);
+  EXPECT_FALSE(bed.client().connected());
+  EXPECT_GT(bed.client().counters().late, 100u);
+}
+
+TEST(Client, OutageRaisesAnEmergencyWithoutAnyFrame) {
+  // While the client is cut off no frame arrives, so the receive path's
+  // flow check never runs: only the display tick can see the software
+  // buffer drain below the emergency thresholds.
+  VodTestBed bed(1, 1);
+  bed.watch_all();
+  bed.run_for(10.0);
+  ASSERT_TRUE(bed.client().playing());
+  const auto received = bed.client().counters().received;
+  const auto emergencies = bed.client().control_stats().emergencies_sent;
+  bed.deployment().network().partition(
+      {{bed.deployment().clients()[0]->node}});
+  bed.run_for(1.5);
+  EXPECT_LE(bed.client().counters().received, received + 2);  // in flight
+  EXPECT_GT(bed.client().control_stats().emergencies_sent, emergencies);
+  EXPECT_FALSE(bed.client().watchdog_clock_running());
+  bed.deployment().network().heal();
 }
 
 }  // namespace
