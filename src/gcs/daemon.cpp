@@ -34,6 +34,28 @@ void GroupMember::leave() {
   daemon_ = nullptr;
 }
 
+// -------------------------------------------------------------- Daemon::Group
+
+bool Daemon::Group::add(GcsEndpoint e) {
+  auto at = std::lower_bound(members.begin(), members.end(), e);
+  if (at != members.end() && *at == e) return false;
+  members.insert(at, e);
+  return true;
+}
+
+bool Daemon::Group::remove(GcsEndpoint e) {
+  auto at = std::lower_bound(members.begin(), members.end(), e);
+  if (at == members.end() || *at != e) return false;
+  members.erase(at);
+  return true;
+}
+
+bool Daemon::Group::has_member_on(net::NodeId node) const {
+  auto at = std::lower_bound(members.begin(), members.end(),
+                             GcsEndpoint{node, 0});
+  return at != members.end() && at->node == node;
+}
+
 // --------------------------------------------------------------------- Daemon
 
 Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
@@ -80,8 +102,8 @@ Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
 }
 
 Daemon::~Daemon() {
-  for (auto& [group, handles] : local_members_) {
-    for (GroupMember* h : handles) h->daemon_ = nullptr;
+  for (auto& [name, g] : groups_) {
+    for (GroupMember* h : g.handles) h->daemon_ = nullptr;
   }
 }
 
@@ -135,7 +157,8 @@ std::unique_ptr<GroupMember> Daemon::join(std::string group,
   const GcsEndpoint ep{self_, next_local_id_++};
   auto handle = std::unique_ptr<GroupMember>(
       new GroupMember(*this, group, ep, std::move(callbacks)));
-  local_members_[group].push_back(handle.get());
+  groups_[group].handles.push_back(handle.get());
+  stats_.groups_held = groups_.size();
   submit(wire::PayloadKind::kJoin, group, ep, {});
   return handle;
 }
@@ -145,10 +168,10 @@ void Daemon::send_to_group(const std::string& group, util::Bytes payload) {
          std::move(payload));
 }
 
-std::vector<GcsEndpoint> Daemon::group_members(const std::string& group) const {
-  auto it = group_table_.find(group);
-  if (it == group_table_.end()) return {};
-  return {it->second.begin(), it->second.end()};
+std::vector<GcsEndpoint> Daemon::group_members(std::string_view group) const {
+  auto it = groups_.find(group);
+  if (it == groups_.end() || !it->second.has_member_on(self_)) return {};
+  return it->second.members;
 }
 
 void Daemon::member_send(GroupMember& member, util::Bytes payload) {
@@ -157,10 +180,9 @@ void Daemon::member_send(GroupMember& member, util::Bytes payload) {
 }
 
 void Daemon::member_leave(GroupMember& member) {
-  auto it = local_members_.find(member.group_);
-  if (it != local_members_.end()) {
-    std::erase(it->second, &member);
-    if (it->second.empty()) local_members_.erase(it);
+  if (auto it = groups_.find(member.group_); it != groups_.end()) {
+    std::erase(it->second.handles, &member);
+    release_if_unused(it);
   }
   submit(wire::PayloadKind::kLeave, member.group_, member.endpoint_, {});
 }
@@ -388,7 +410,6 @@ void Daemon::order_message(wire::Submit m, net::NodeId sender) {
   wire::Ordered o;
   o.view = view_.id;
   o.gseq = next_order_gseq_++;
-  o.dests = route(m, sender);
   o.sender = sender;
   o.sender_seq = m.sender_seq;
   o.sender_prev = std::exchange(last_from_[sender], o.gseq);
@@ -396,6 +417,7 @@ void Daemon::order_message(wire::Submit m, net::NodeId sender) {
   o.group = std::move(m.group);
   o.origin = m.origin;
   o.payload = std::move(m.payload);
+  route(o);
   ++stats_.messages_ordered;
   // Encode once and append the bytes to each destination's batch: copies
   // differ only in `prev`, patched in place.
@@ -419,32 +441,41 @@ void Daemon::order_message(wire::Submit m, net::NodeId sender) {
   handle_ordered(std::move(o));
 }
 
-std::vector<net::NodeId> Daemon::route(const wire::Submit& m,
-                                       net::NodeId sender) {
-  switch (m.kind) {
-    case wire::PayloadKind::kJoin:
-      routes_[m.group].insert(m.origin);
-      return view_.members;
-    case wire::PayloadKind::kLeave:
-      if (auto it = routes_.find(m.group); it != routes_.end()) {
-        it->second.erase(m.origin);
-        if (it->second.empty()) routes_.erase(it);
-      }
-      return view_.members;
-    case wire::PayloadKind::kApp:
-      break;
-  }
+void Daemon::route(wire::Ordered& o) {
   // Endpoints sort by node, so each hosting daemon appears in one run.
-  std::vector<net::NodeId> dests;
-  if (auto it = routes_.find(m.group); it != routes_.end()) {
-    for (const GcsEndpoint& e : it->second) {
-      if (dests.empty() || dests.back() != e.node) dests.push_back(e.node);
+  auto it = routes_.find(o.group);
+  if (it != routes_.end()) {
+    for (const GcsEndpoint& e : it->second.members) {
+      if (o.dests.empty() || o.dests.back() != e.node) {
+        o.dests.push_back(e.node);
+      }
     }
   }
-  // The sender needs its own copy to retire the pending submission.
-  auto pos = std::lower_bound(dests.begin(), dests.end(), sender);
-  if (pos == dests.end() || *pos != sender) dests.insert(pos, sender);
-  return dests;
+  // The sender needs its own copy to retire the pending submission; for a
+  // join or leave it is also the daemon of the endpoint that comes or goes.
+  auto pos = std::lower_bound(o.dests.begin(), o.dests.end(), o.sender);
+  if (pos == o.dests.end() || *pos != o.sender) o.dests.insert(pos, o.sender);
+
+  switch (o.kind) {
+    case wire::PayloadKind::kApp:
+      return;
+    case wire::PayloadKind::kJoin: {
+      if (it == routes_.end()) it = routes_.try_emplace(o.group).first;
+      Group& g = it->second;
+      o.members = g.members;
+      if (g.add(o.origin)) ++g.change_seq;
+      o.change_seq = g.change_seq;
+      return;
+    }
+    case wire::PayloadKind::kLeave: {
+      if (it == routes_.end()) return;
+      Group& g = it->second;
+      if (g.remove(o.origin)) ++g.change_seq;
+      o.change_seq = g.change_seq;
+      if (g.members.empty()) routes_.erase(it);
+      return;
+    }
+  }
 }
 
 void Daemon::handle_ordered(wire::Ordered m) {
@@ -480,56 +511,71 @@ void Daemon::deliver_one(const wire::Ordered& m) {
   ++stats_.messages_delivered;
   if (m.sender == self_) pending_.erase(m.sender_seq);
 
-  switch (m.kind) {
-    case wire::PayloadKind::kJoin: {
-      const bool changed = group_table_[m.group].insert(m.origin).second;
-      if (changed) emit_group_view(m.group);
-      break;
-    }
-    case wire::PayloadKind::kLeave: {
-      auto it = group_table_.find(m.group);
-      if (it == group_table_.end()) break;
-      const bool changed = it->second.erase(m.origin) > 0;
-      if (it->second.empty()) group_table_.erase(it);
-      if (changed) emit_group_view(m.group);
-      break;
-    }
-    case wire::PayloadKind::kApp: {
-      auto it = local_members_.find(m.group);
-      if (it == local_members_.end()) break;
-      // Copy: callbacks may join/leave reentrantly.
-      const std::vector<GroupMember*> handles = it->second;
-      for (GroupMember* h : handles) {
-        if (h->callbacks_.on_message) {
-          h->callbacks_.on_message(m.origin, m.payload);
-        }
-      }
-      break;
-    }
+  if (m.kind != wire::PayloadKind::kApp) {
+    apply_membership(m);
+    return;
+  }
+  auto it = groups_.find(m.group);
+  if (it == groups_.end()) return;
+  // Copy: callbacks may join/leave reentrantly.
+  const std::vector<GroupMember*> handles = it->second.handles;
+  for (GroupMember* h : handles) {
+    if (h->callbacks_.on_message) h->callbacks_.on_message(m.origin, m.payload);
   }
 }
 
-void Daemon::emit_group_view(const std::string& group) {
-  GroupView gv;
-  gv.group = group;
-  gv.daemon_view_counter = view_.id.counter;
-  gv.change_seq = ++group_change_seq_[group];
-  if (auto it = group_table_.find(group); it != group_table_.end()) {
-    gv.members.assign(it->second.begin(), it->second.end());
+void Daemon::apply_membership(const wire::Ordered& m) {
+  // Only the group's hosts and the joining or leaving daemon get a join or
+  // leave, and a join carries the members before it: a daemon that starts
+  // hosting the group here builds its entry from the message, and every
+  // host ends up with the coordinator's members and change number.
+  GroupTable::iterator it;
+  if (m.kind == wire::PayloadKind::kJoin) {
+    if (std::binary_search(m.members.begin(), m.members.end(), m.origin)) {
+      return;  // already a member: nothing changed
+    }
+    it = groups_.try_emplace(m.group).first;
+    it->second.members = m.members;
+    it->second.add(m.origin);
+  } else {
+    it = groups_.find(m.group);
+    if (it == groups_.end() || !it->second.remove(m.origin)) {
+      return;
+    }
   }
-  auto it = local_members_.find(group);
-  if (it == local_members_.end()) return;
-  const std::vector<GroupMember*> handles = it->second;
+  Group& g = it->second;
+  g.change_seq = m.change_seq;
+  // Released before the callbacks run: they may join or leave reentrantly.
+  if (g.handles.empty()) {
+    release_if_unused(it);
+    return;
+  }
+  stats_.groups_held = groups_.size();
+  emit_group_view(it->first, g);
+}
+
+void Daemon::emit_group_view(const std::string& group, const Group& g) {
+  if (g.handles.empty()) return;
+  const GroupView gv{group, view_.id.counter, g.change_seq, g.members};
+  // Copy: callbacks may join/leave reentrantly, and may erase the entry.
+  const std::vector<GroupMember*> handles = g.handles;
   for (GroupMember* h : handles) {
     h->last_view_ = gv;
     if (h->callbacks_.on_view) h->callbacks_.on_view(gv);
   }
 }
 
+void Daemon::release_if_unused(GroupTable::iterator it) {
+  if (it->second.handles.empty() && !it->second.has_member_on(self_)) {
+    groups_.erase(it);
+  }
+  stats_.groups_held = groups_.size();
+}
+
 std::vector<wire::GroupReg> Daemon::local_regs_snapshot() const {
   std::vector<wire::GroupReg> regs;
-  for (const auto& [group, handles] : local_members_) {
-    for (const GroupMember* h : handles) {
+  for (const auto& [group, g] : groups_) {
+    for (const GroupMember* h : g.handles) {
       regs.push_back(wire::GroupReg{group, h->endpoint_});
     }
   }

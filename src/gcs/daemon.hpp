@@ -9,9 +9,12 @@
 //    sequence per group.
 //
 // The protocol is coordinator-based (the proposer of the current view orders
-// all messages). Delivery is group-scoped: an application message goes only
-// to the daemons hosting a member of its group plus the sending daemon;
-// joins and leaves go to every member, so the group table stays replicated.
+// all messages). Delivery is group-scoped: every message, join and leave
+// included, goes only to the daemons hosting a member of its group plus the
+// sending daemon. A join carries the group's members just before it and
+// every join or leave its change number, so a daemon that starts hosting a
+// group builds its entry from the join, and each daemon keeps only the
+// groups it hosts or holds handles in.
 // Each daemon sees its messages as a gap-free chain (Ordered::prev), which
 // makes gap detection, NACKs and retransmission exact per destination.
 // Coordinator failure is handled by the next surviving member proposing a
@@ -28,6 +31,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gcs/group.hpp"
@@ -47,6 +51,8 @@ struct DaemonStats {
   /// (also counted in SocketStats::corrupt_dropped) plus structurally or
   /// semantically invalid messages the decoders refused.
   std::uint64_t malformed_dropped = 0;
+  /// Gauge: groups this daemon hosts a member of or holds a handle in.
+  std::uint64_t groups_held = 0;
 };
 
 class Daemon {
@@ -74,9 +80,10 @@ class Daemon {
     return socket_->stats();
   }
   [[nodiscard]] bool blocked() const { return state_ == State::kBlocked; }
-  /// Current membership of a group as known to this daemon.
+  /// Current membership of a group this daemon hosts (empty for a group
+  /// it hosts no member of: only hosts learn a group's joins and leaves).
   [[nodiscard]] std::vector<GcsEndpoint> group_members(
-      const std::string& group) const;
+      std::string_view group) const;
 
   /// Stops all activity (used on host crash; registered automatically).
   void halt();
@@ -96,6 +103,20 @@ class Daemon {
   friend class GroupMember;
 
   enum class State { kNormal, kBlocked };
+
+  /// One lightweight group: an entry of the coordinator's routes_ (full
+  /// table, `handles` unused) or of the daemon's own groups_.
+  struct Group {
+    std::vector<GcsEndpoint> members;  // ascending
+    std::uint32_t change_seq = 0;      // of the last join or leave applied
+    std::vector<GroupMember*> handles;  // this daemon's, joined or joining
+
+    /// Adds (removes) a member; false if it was (was not) there.
+    bool add(GcsEndpoint e);
+    bool remove(GcsEndpoint e);
+    [[nodiscard]] bool has_member_on(net::NodeId node) const;
+  };
+  using GroupTable = std::map<std::string, Group, std::less<>>;
 
   struct Proposal {
     ViewId pv;
@@ -155,9 +176,10 @@ class Daemon {
   void handle_submit(net::NodeId from, wire::Submit m);
   void try_order_buffered(net::NodeId sender);
   void order_message(wire::Submit m, net::NodeId sender);
-  /// Destinations of a message about to be ordered; joins and leaves also
-  /// update routes_ here, ahead of delivery.
-  std::vector<net::NodeId> route(const wire::Submit& m, net::NodeId sender);
+  /// Sets the destinations of a message about to be ordered; joins and
+  /// leaves also update routes_ here, ahead of delivery, and take their
+  /// change number (and a join the members before it) from it.
+  void route(wire::Ordered& o);
   void handle_ordered(wire::Ordered m);
   void deliver_ready();
   void deliver_one(const wire::Ordered& m);
@@ -169,7 +191,11 @@ class Daemon {
   // ---- group plumbing ----
   void member_send(GroupMember& member, util::Bytes payload);
   void member_leave(GroupMember& member);
-  void emit_group_view(const std::string& group);
+  void apply_membership(const wire::Ordered& m);
+  void emit_group_view(const std::string& group, const Group& g);
+  /// Erases the entry once this daemon neither hosts the group nor holds a
+  /// handle in it.
+  void release_if_unused(GroupTable::iterator it);
   std::vector<wire::GroupReg> local_regs_snapshot() const;
 
   // ---- failure detection / membership ----
@@ -243,10 +269,10 @@ class Daemon {
   std::uint64_t next_order_gseq_ = 1;
   std::map<net::NodeId, std::uint64_t> next_submit_expected_;
   std::map<net::NodeId, std::map<std::uint64_t, wire::Submit>> submit_buffer_;
-  /// group -> member endpoints as of the last *ordered* join or leave.
-  /// Nested ordering from delivery callbacks runs ahead of group_table_,
-  /// so routing cannot use it; rebuilt from the group table on install.
-  std::map<std::string, std::set<GcsEndpoint>> routes_;
+  /// Every group of the view as of the last *ordered* join or leave.
+  /// Nested ordering from delivery callbacks runs ahead of delivery, so
+  /// routing cannot use groups_; rebuilt from the full table on install.
+  GroupTable routes_;
   std::map<net::NodeId, std::uint64_t> last_sent_;  // per destination
   std::map<net::NodeId, std::uint64_t> last_from_;  // per sender
   std::map<net::NodeId, MemberProgress> progress_;
@@ -278,10 +304,9 @@ class Daemon {
   std::set<net::NodeId> suspects_;
   std::map<net::NodeId, wire::Heartbeat> foreign_;  // non-members' heartbeats
 
-  // Lightweight groups.
-  std::map<std::string, std::set<GcsEndpoint>> group_table_;
-  std::map<std::string, std::uint32_t> group_change_seq_;
-  std::map<std::string, std::vector<GroupMember*>> local_members_;
+  // Lightweight groups: the ones this daemon hosts or holds handles in, as
+  // of the last delivered join or leave.
+  GroupTable groups_;
   std::uint32_t next_local_id_ = 1;
 
   // Timers.

@@ -606,26 +606,37 @@ void Daemon::apply_install(const wire::Install& m) {
     suspects_.erase(member);
     foreign_.erase(member);
   }
-  group_change_seq_.clear();
-
-  group_table_.clear();
-  for (const auto& reg : m.group_table) {
-    group_table_[reg.group].insert(reg.member);
-  }
+  // The install carries the full group table. This daemon keeps the groups
+  // it has a local registration in; the new coordinator routes from all of
+  // it. Each group's change count restarts at 1 (0 while it has no
+  // member), which is what a later join or leave counts on from.
+  std::erase_if(groups_,
+                [](const auto& e) { return e.second.handles.empty(); });
+  for (auto& [name, g] : groups_) g.members.clear();
   routes_.clear();
-  if (view_.id.coord == self_) routes_ = group_table_;
+  const bool coordinating = view_.id.coord == self_;
+  for (const wire::GroupReg& reg : m.group_table) {
+    if (coordinating) routes_[reg.group].add(reg.member);
+    if (auto it = groups_.find(reg.group); it != groups_.end()) {
+      it->second.add(reg.member);
+    }
+  }
+  for (auto& [name, g] : routes_) g.change_seq = 1;
+  for (auto& [name, g] : groups_) g.change_seq = g.members.empty() ? 0 : 1;
+  stats_.groups_held = groups_.size();
 
   util::log_info(kLog, "n", self_, " now in ", view_.id, " with ",
                  view_.members.size(), " members");
 
   // Deliver fresh views for every locally-registered group whose membership
   // may have changed (conservatively: all of them).
-  const std::vector<std::string> local_groups = [&] {
-    std::vector<std::string> g;
-    for (const auto& [group, handles] : local_members_) g.push_back(group);
-    return g;
-  }();
-  for (const std::string& group : local_groups) emit_group_view(group);
+  std::vector<std::string> local_groups;
+  for (const auto& [name, g] : groups_) local_groups.push_back(name);
+  for (const std::string& name : local_groups) {
+    if (auto it = groups_.find(name); it != groups_.end()) {
+      emit_group_view(it->first, it->second);
+    }
+  }
 
   flush_pending_submits();
 }

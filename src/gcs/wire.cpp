@@ -49,6 +49,31 @@ std::vector<net::NodeId> get_nodes(util::Reader& r) {
   return out;
 }
 
+void put_endpoints(util::Writer& w, const std::vector<GcsEndpoint>& eps) {
+  w.u32(static_cast<std::uint32_t>(eps.size()));
+  for (const GcsEndpoint& e : eps) put_endpoint(w, e);
+}
+
+/// Rejects a count the remaining bytes cannot hold (8 per endpoint) and a
+/// list that is not strictly ascending.
+std::vector<GcsEndpoint> get_endpoints(util::Reader& r) {
+  const std::uint32_t n = r.u32();
+  std::vector<GcsEndpoint> out;
+  if (!r.ok() || n > r.remaining() / 8) {
+    r.fail();
+    return out;
+  }
+  out.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out.push_back(get_endpoint(r));
+    if (i > 0 && !(out[i - 1] < out[i])) {
+      r.fail();
+      return out;
+    }
+  }
+  return out;
+}
+
 void put_regs(util::Writer& w, const std::vector<GroupReg>& regs) {
   w.u32(static_cast<std::uint32_t>(regs.size()));
   for (const GroupReg& g : regs) {
@@ -106,6 +131,8 @@ void put_ordered(util::Writer& w, const Ordered& m) {
   w.u8(static_cast<std::uint8_t>(m.kind));
   w.str(m.group);
   put_endpoint(w, m.origin);
+  w.u32(m.change_seq);
+  put_endpoints(w, m.members);
   w.blob(m.payload);
 }
 
@@ -118,10 +145,19 @@ Ordered get_ordered(util::Reader& r) {
   m.sender = r.u32();
   m.sender_seq = r.u64();
   m.sender_prev = r.u64();
-  m.kind = static_cast<PayloadKind>(r.u8());
+  const std::uint8_t kind = r.u8();
+  m.kind = static_cast<PayloadKind>(kind);
   m.group = r.str();
   m.origin = get_endpoint(r);
+  m.change_seq = r.u32();
+  m.members = get_endpoints(r);
   m.payload = r.blob();
+  // Only a join carries members, and an application message no change.
+  if (kind > static_cast<std::uint8_t>(PayloadKind::kLeave) ||
+      (m.kind != PayloadKind::kJoin && !m.members.empty()) ||
+      (m.kind == PayloadKind::kApp && m.change_seq != 0)) {
+    r.fail();
+  }
   return m;
 }
 
@@ -133,7 +169,7 @@ constexpr std::size_t kPrevOffset = 12 + 8;
 /// count the remaining bytes cannot hold is rejected before reserving.
 constexpr std::size_t kMinSubmitBytes = 12 + 8 + 1 + 4 + 8 + 4;
 constexpr std::size_t kMinOrderedBytes =
-    12 + 8 + 8 + 4 + 4 + 8 + 8 + 1 + 4 + 8 + 4;
+    12 + 8 + 8 + 4 + 4 + 8 + 8 + 1 + 4 + 8 + 4 + 4 + 4;
 
 void bump_count(util::Writer& w) {
   const util::Bytes& b = w.buffer();
@@ -229,8 +265,8 @@ std::size_t encoded_size(const Submit& m) {
 }
 
 std::size_t encoded_size(const Ordered& m) {
-  return kMinOrderedBytes + 4 * m.dests.size() + m.group.size() +
-         m.payload.size();
+  return kMinOrderedBytes + 4 * m.dests.size() + 8 * m.members.size() +
+         m.group.size() + m.payload.size();
 }
 
 std::size_t append(util::Writer& w, const Submit& m) {

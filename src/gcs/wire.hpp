@@ -60,10 +60,9 @@ struct Submit {
 };
 
 /// Coordinator -> the daemons in `dests`: message with a global sequence
-/// number. Joins and leaves go to every view member; an application
-/// message goes to the daemons hosting a member of its group plus the
-/// sending daemon. Each destination sees its own gap-free chain through
-/// `prev`.
+/// number. Every message goes to the daemons hosting a member of its group
+/// plus the sending daemon. Each destination sees its own gap-free chain
+/// through `prev`.
 struct Ordered {
   ViewId view;
   std::uint64_t gseq = 0;
@@ -80,6 +79,12 @@ struct Ordered {
   PayloadKind kind = PayloadKind::kApp;
   std::string group;
   GcsEndpoint origin;
+  /// Joins and leaves: the group's change number once this message is
+  /// applied, as the coordinator counted it when ordering (0 on kApp).
+  std::uint32_t change_seq = 0;
+  /// Joins only: the group's members just before this join, ascending, so
+  /// a daemon that starts hosting the group builds its entry from the join.
+  std::vector<GcsEndpoint> members;
   util::Bytes payload;
 
   [[nodiscard]] bool addressed_to(net::NodeId n) const {
@@ -168,7 +173,9 @@ struct FlushDone {
   std::vector<net::NodeId> dropped;
 };
 
-/// Proposer -> members: install the new view with this group table.
+/// Proposer -> members: install the new view with the full group table.
+/// Each member keeps the groups it has a local registration in; the new
+/// coordinator routes from all of it.
 struct Install {
   ViewId pv;
   std::vector<net::NodeId> members;

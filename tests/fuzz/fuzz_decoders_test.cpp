@@ -94,6 +94,18 @@ gcs::wire::Ordered rand_ordered(util::Rng& rng) {
   m.kind = static_cast<gcs::wire::PayloadKind>(rng.uniform_int(0, 2));
   m.group = rand_str(rng, 24);
   m.origin = rand_gep(rng);
+  // Joins and leaves carry a change number; a join also the members
+  // before it, ascending and distinct.
+  if (m.kind != gcs::wire::PayloadKind::kApp) {
+    m.change_seq = static_cast<std::uint32_t>(rng.uniform_int(1, 1 << 20));
+  }
+  if (m.kind == gcs::wire::PayloadKind::kJoin) {
+    const auto n = rng.uniform_int(0, 5);
+    for (std::int64_t i = 0; i < n; ++i) m.members.push_back(rand_gep(rng));
+    std::sort(m.members.begin(), m.members.end());
+    m.members.erase(std::unique(m.members.begin(), m.members.end()),
+                    m.members.end());
+  }
   m.payload = rand_payload(rng, 64);
   return m;
 }

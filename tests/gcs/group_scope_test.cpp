@@ -1,5 +1,6 @@
-// Group-scoped delivery: an application message reaches only the daemons
-// hosting its group (plus the sender), gap repair stays exact per
+// Group-scoped delivery: every message of a group, joins and leaves
+// included, reaches only the daemons hosting it (plus the sender), each
+// daemon keeps only the groups it hosts, gap repair stays exact per
 // destination, and the flush exchange keeps virtual synchrony when only
 // some destinations got a message before the coordinator died.
 #include <gtest/gtest.h>
@@ -241,6 +242,203 @@ TEST(GcsGroupScope, NonHostingDaemonReceivesNoGroupTraffic) {
   EXPECT_EQ(la.texts(), lb.texts());
   EXPECT_GT(idle, 0u);
   EXPECT_EQ(busy, idle);
+}
+
+TEST(GcsGroupScope, LateHostSeesSameChangeSeq) {
+  // n0 and n1 host g. A fourth daemon starting forces an install, which
+  // restarts g's change count; then n2, which has hosted nothing so far,
+  // joins g. Its first view must be the one the existing hosts got for
+  // the same join: same members, same change number.
+  GcsHarness h(4);
+  h.start(0);
+  h.start(1);
+  h.start(2);
+  ASSERT_TRUE(h.run_until_converged());
+  Listener l0, l1, l2;
+  auto a = h.daemon(0).join("g", l0.callbacks());
+  auto b = h.daemon(1).join("g", l1.callbacks());
+  h.run_for(sim::sec(1));
+  const std::uint64_t views = h.daemon(0).stats().view_changes;
+  h.start(3);
+  ASSERT_TRUE(h.run_until_converged(sim::sec(5)));
+  ASSERT_GT(h.daemon(0).stats().view_changes, views);
+
+  auto c = h.daemon(2).join("g", l2.callbacks());
+  h.run_for(sim::sec(1));
+  ASSERT_EQ(l2.views.size(), 1u);
+  const GroupView& late = l2.views.front();
+  EXPECT_EQ(late.members, (std::vector<GcsEndpoint>{
+                              a->endpoint(), b->endpoint(), c->endpoint()}));
+  for (const Listener* l : {&l0, &l1}) {
+    ASSERT_GE(l->views.size(), 2u);
+    const GroupView& host = l->views.back();
+    EXPECT_EQ(late.members, host.members);
+    EXPECT_EQ(late.change_seq, host.change_seq);
+    EXPECT_EQ(late.daemon_view_counter, host.daemon_view_counter);
+    // The install's view came first in the same daemon view, with a lower
+    // change number, so the two never share a table-exchange tag.
+    const GroupView& installed = l->views[l->views.size() - 2];
+    EXPECT_EQ(installed.daemon_view_counter, host.daemon_view_counter);
+    EXPECT_LT(installed.change_seq, host.change_seq);
+  }
+}
+
+TEST(GcsGroupScope, NonHostingDaemonDeliversNoJoinOrLeave) {
+  // g lives on n1 and n2. Neither the coordinator (n0) nor n3 hosts a
+  // member, so neither delivers any of g's joins or leaves.
+  GcsHarness h(4);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  ASSERT_EQ(h.daemon(1).view().id.coord, h.node(0));
+  const std::uint64_t d0 = h.daemon(0).stats().messages_delivered;
+  const std::uint64_t d3 = h.daemon(3).stats().messages_delivered;
+
+  Listener la, lb;
+  auto a = h.daemon(1).join("g", la.callbacks());
+  auto b = h.daemon(2).join("g", lb.callbacks());
+  h.run_for(sim::sec(1));
+  a->leave();
+  h.run_for(sim::sec(1));
+  b->leave();
+  h.run_for(sim::sec(1));
+
+  // The hosts saw both joins and the first leave.
+  ASSERT_FALSE(lb.views.empty());
+  EXPECT_EQ(lb.views.back().members,
+            std::vector<GcsEndpoint>{b->endpoint()});
+  EXPECT_EQ(h.daemon(0).stats().messages_delivered, d0);
+  EXPECT_EQ(h.daemon(3).stats().messages_delivered, d3);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(h.daemon(i).stats().groups_held, 0u) << "daemon " << i;
+  }
+}
+
+TEST(GcsGroupScope, NewCoordinatorRoutesToExactlyTheHosts) {
+  // g lives on n2 and n3. The coordinator n0 dies; the new one, n1, hosts
+  // nothing of g, yet routes g's next join and application message to
+  // exactly g's hosts, from the table the install carried.
+  GcsHarness h(5);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  Listener l2, l3, l3b;
+  auto m2 = h.daemon(2).join("g", l2.callbacks());
+  auto m3 = h.daemon(3).join("g", l3.callbacks());
+  h.run_for(sim::sec(1));
+  h.crash(0);
+  ASSERT_TRUE(h.run_until_converged(sim::sec(10)));
+  h.run_for(sim::sec(1));
+  ASSERT_EQ(h.daemon(2).view().id.coord, h.node(1));
+  std::vector<std::uint64_t> before(5);
+  for (int i = 1; i < 5; ++i) {
+    before[i] = h.daemon(i).stats().messages_delivered;
+  }
+
+  auto m3b = h.daemon(3).join("g", l3b.callbacks());
+  h.run_for(sim::sec(1));
+  m2->send(text_msg("after"));
+  h.run_for(sim::sec(1));
+
+  EXPECT_EQ(h.daemon(1).stats().messages_delivered, before[1]);
+  EXPECT_EQ(h.daemon(2).stats().messages_delivered, before[2] + 2);
+  EXPECT_EQ(h.daemon(3).stats().messages_delivered, before[3] + 2);
+  EXPECT_EQ(h.daemon(4).stats().messages_delivered, before[4]);
+  const std::vector<GcsEndpoint> all{m2->endpoint(), m3->endpoint(),
+                                     m3b->endpoint()};
+  for (const Listener* l : {&l2, &l3, &l3b}) {
+    ASSERT_FALSE(l->views.empty());
+    EXPECT_EQ(l->views.back().members, all);
+    EXPECT_EQ(l->views.back().change_seq, l2.views.back().change_seq);
+    EXPECT_EQ(l->texts(), std::vector<std::string>{"after"});
+  }
+}
+
+TEST(GcsGroupScope, DaemonWhoseLastMemberLeftGetsNoMoreGroupTraffic) {
+  GcsHarness h(4);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  Listener l1, l2, l3, l1b;
+  auto m1 = h.daemon(1).join("g", l1.callbacks());
+  auto m2 = h.daemon(2).join("g", l2.callbacks());
+  auto m3 = h.daemon(3).join("g", l3.callbacks());
+  h.run_for(sim::sec(1));
+  m3->leave();
+  h.run_for(sim::sec(1));
+  EXPECT_EQ(h.daemon(3).stats().groups_held, 0u);
+  EXPECT_TRUE(h.daemon(3).group_members("g").empty());
+  const std::uint64_t d3 = h.daemon(3).stats().messages_delivered;
+
+  // A message, a join and a leave of g: none of them reaches n3.
+  m1->send(text_msg("x"));
+  auto m1b = h.daemon(1).join("g", l1b.callbacks());
+  m2->leave();
+  h.run_for(sim::sec(1));
+
+  EXPECT_EQ(l1.texts(), std::vector<std::string>{"x"});
+  EXPECT_EQ(l1.views.back().members,
+            (std::vector<GcsEndpoint>{m1->endpoint(), m1b->endpoint()}));
+  EXPECT_TRUE(l3.messages.empty());
+  EXPECT_EQ(h.daemon(3).stats().messages_delivered, d3);
+}
+
+TEST(GcsGroupScope, InstallDropsAGroupWhoseLastHandleLeftBeforeIt) {
+  // n3's member of g leaves, but the leave never reaches the coordinator,
+  // which then dies. n3 still hosts g in the old view; the install, built
+  // from registrations, no longer lists it there, so n3 keeps no entry,
+  // and the leave ordered in the new view changes nothing.
+  GcsHarness h(4);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  Listener l1, l3;
+  auto m1 = h.daemon(1).join("g", l1.callbacks());
+  auto m3 = h.daemon(3).join("g", l3.callbacks());
+  h.run_for(sim::sec(1));
+  ASSERT_EQ(l1.views.back().members.size(), 2u);
+
+  net::LinkQuality dead = net::lan_quality();
+  dead.loss = 1.0;
+  h.network().set_quality(h.node(0), h.node(3), dead);
+  m3->leave();
+  h.run_for(sim::msec(5));
+  ASSERT_EQ(h.daemon(3).stats().groups_held, 1u);  // still a host
+  h.crash(0);
+  ASSERT_TRUE(h.run_until_converged(sim::sec(10)));
+  h.run_for(sim::sec(1));
+
+  EXPECT_EQ(h.daemon(3).stats().groups_held, 0u);
+  EXPECT_EQ(l1.views.back().members,
+            std::vector<GcsEndpoint>{m1->endpoint()});
+}
+
+TEST(GcsGroupScope, GroupsHeldReturnsToTheLiveGroupsAfterChurn) {
+  // n1 opens and closes 1,000 session-style groups next to one long-lived
+  // movie group it shares with n2. Each daemon's table then holds exactly
+  // the groups that are still live on it.
+  GcsHarness h(3);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  Listener lm1, lm2;
+  auto movie1 = h.daemon(1).join("movie", lm1.callbacks());
+  auto movie2 = h.daemon(2).join("movie", lm2.callbacks());
+  h.run_for(sim::sec(1));
+
+  constexpr int kSessions = 1000;
+  std::vector<Listener> listeners(kSessions);
+  std::vector<std::unique_ptr<GroupMember>> sessions;
+  for (int i = 0; i < kSessions; ++i) {
+    sessions.push_back(h.daemon(1).join("session/" + std::to_string(i),
+                                        listeners[i].callbacks()));
+  }
+  h.run_for(sim::sec(1));
+  EXPECT_EQ(h.daemon(1).stats().groups_held, kSessions + 1u);
+  EXPECT_EQ(listeners.back().views.size(), 1u);
+  for (auto& s : sessions) s->leave();
+  h.run_for(sim::sec(1));
+
+  EXPECT_EQ(h.daemon(0).stats().groups_held, 0u);
+  EXPECT_EQ(h.daemon(1).stats().groups_held, 1u);
+  EXPECT_EQ(h.daemon(2).stats().groups_held, 1u);
+  EXPECT_EQ(lm2.views.back().members,
+            (std::vector<GcsEndpoint>{movie1->endpoint(), movie2->endpoint()}));
 }
 
 TEST(GcsGroupScope, LosslessSteadyStreamNeedsNoRetransmission) {

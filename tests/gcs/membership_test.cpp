@@ -127,11 +127,17 @@ TEST(GcsMembership, JoinerLearnsGroupTable) {
 
   h.start(2);
   ASSERT_TRUE(h.run_until_converged(sim::sec(5)));
-  // The late daemon knows about the group even though the join happened
-  // before it arrived (state transferred in the install message).
-  const auto members = h.daemon(2).group_members("movie");
-  ASSERT_EQ(members.size(), 1u);
-  EXPECT_EQ(members[0], m0->endpoint());
+  // The late daemon hosts nothing, so it keeps no copy of the group. Once
+  // it joins, its first view lists the member that joined before it
+  // arrived: the join carries the group's members.
+  EXPECT_TRUE(h.daemon(2).group_members("movie").empty());
+  Listener l2;
+  auto m2 = h.daemon(2).join("movie", l2.callbacks());
+  h.run_for(sim::sec(1));
+  ASSERT_FALSE(l2.views.empty());
+  EXPECT_EQ(l2.views.front().members,
+            (std::vector<GcsEndpoint>{m0->endpoint(), m2->endpoint()}));
+  EXPECT_EQ(h.daemon(2).group_members("movie"), l2.views.front().members);
 }
 
 TEST(GcsMembership, LateJoinerCanTalkToExistingGroup) {

@@ -93,6 +93,91 @@ TEST(GcsWire, OrderedRoundTrip) {
   EXPECT_FALSE(d.addressed_to(7));
 }
 
+TEST(GcsWire, JoinCarriesChangeSeqAndMembersRoundTrip) {
+  Ordered m = sample_ordered();
+  m.kind = PayloadKind::kJoin;
+  m.payload.clear();
+  m.change_seq = 7;
+  m.members = {{2, 1}, {2, 4}, {11, 3}};
+  const util::Bytes bytes = encode(m);
+  auto batch = decode_ordered(bytes);
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->size(), 1u);
+  const Ordered& d = batch->front();
+  EXPECT_EQ(d.kind, PayloadKind::kJoin);
+  EXPECT_EQ(d.change_seq, 7u);
+  EXPECT_EQ(d.members, m.members);
+  EXPECT_EQ(d.origin, m.origin);
+  EXPECT_EQ(encode(*batch), bytes);
+  EXPECT_EQ(bytes.size(), encode(sample_ordered()).size() + 3 * 8 - 1);
+
+  // A leave carries its change number but no members.
+  m.kind = PayloadKind::kLeave;
+  m.members.clear();
+  auto leave = decode_ordered(encode(m));
+  ASSERT_TRUE(leave.has_value());
+  EXPECT_EQ(leave->front().change_seq, 7u);
+}
+
+TEST(GcsWire, OrderedMembershipFieldsAreValidated) {
+  Ordered join = sample_ordered();
+  join.kind = PayloadKind::kJoin;
+  join.change_seq = 2;
+  join.members = {{2, 1}, {6, 1}};
+  ASSERT_TRUE(decode_ordered(encode(join)).has_value());
+
+  // Members belong to joins only, and a change number to joins and leaves.
+  Ordered app = join;
+  app.kind = PayloadKind::kApp;
+  EXPECT_EQ(decode_ordered(encode(app)), std::nullopt);
+  app.members.clear();
+  EXPECT_EQ(decode_ordered(encode(app)), std::nullopt);  // change_seq 2
+  app.change_seq = 0;
+  EXPECT_TRUE(decode_ordered(encode(app)).has_value());
+  Ordered leave = join;
+  leave.kind = PayloadKind::kLeave;
+  EXPECT_EQ(decode_ordered(encode(leave)), std::nullopt);
+
+  // Members must be strictly ascending.
+  Ordered unsorted = join;
+  unsorted.members = {{6, 1}, {2, 1}};
+  EXPECT_EQ(decode_ordered(encode(unsorted)), std::nullopt);
+  Ordered repeated = join;
+  repeated.members = {{2, 1}, {2, 1}};
+  EXPECT_EQ(decode_ordered(encode(repeated)), std::nullopt);
+
+  // An unknown kind is refused.
+  Ordered odd = sample_ordered();
+  odd.kind = static_cast<PayloadKind>(3);
+  EXPECT_EQ(decode_ordered(encode(odd)), std::nullopt);
+}
+
+TEST(GcsWire, OrderedMemberCountBeyondTheDatagramRejected) {
+  // Rewrite the member count of a sealed join to more than the remaining
+  // bytes could hold, then re-seal so only the count is wrong.
+  Ordered join = sample_ordered();
+  join.kind = PayloadKind::kJoin;
+  join.change_seq = 1;
+  join.members = {{2, 1}};
+  util::Writer w;
+  begin_batch(w, MsgType::kOrdered);
+  const std::size_t at = append(w, join);
+  // The count follows everything before it: the fixed fields, the dests,
+  // the group, the origin and the change number.
+  const std::size_t count_at = at + 12 + 8 + 8 + 4 + 4 * join.dests.size() +
+                               4 + 8 + 8 + 1 + 4 + join.group.size() + 8 + 4;
+  w.patch_u32(count_at, 1'000'000);
+  seal_batch(w);
+  EXPECT_EQ(decode_ordered(w.buffer()), std::nullopt);
+  w.patch_u32(count_at, 2);  // one more than there is, also too many
+  seal_batch(w);
+  EXPECT_EQ(decode_ordered(w.buffer()), std::nullopt);
+  w.patch_u32(count_at, 1);
+  seal_batch(w);
+  ASSERT_TRUE(decode_ordered(w.buffer()).has_value());
+  EXPECT_EQ(decode_ordered(w.buffer())->front().members, join.members);
+}
+
 TEST(GcsWire, PatchedFanOutCopiesMatchFreshEncodings) {
   // The coordinator encodes a message once and appends the bytes to each
   // destination's batch, patching `prev` per copy: every batch must equal
@@ -126,6 +211,11 @@ TEST(GcsWire, EncodedSizeIsWhatAnAppendAdds) {
   Ordered o = sample_ordered();
   o.payload.assign(77, std::byte{1});
   std::size_t before = w.size();
+  append(w, o);
+  EXPECT_EQ(w.size() - before, encoded_size(o));
+  o.kind = PayloadKind::kJoin;
+  o.members = {{1, 1}, {2, 1}};
+  before = w.size();
   append(w, o);
   EXPECT_EQ(w.size() - before, encoded_size(o));
 

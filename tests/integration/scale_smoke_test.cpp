@@ -42,13 +42,14 @@ constexpr double kMaxAllocsPerFrame = 20.0;
 constexpr double kMaxEventsPerClientSimSecond = 200.0;
 // GCS cost per ordered message, summed over every daemon, on the
 // datacenter NICs of city_scale (10 GbE, 8 MiB queues): deliveries (the
-// fan-out; group-scoped delivery sends a session message to its two hosts,
-// joins and leaves to all six daemons) and retransmissions (none are
-// needed on this lossless LAN). Measured 2.37 and 0; exact per
-// seed, like the event rate. On 100 Mbps NICs the coordinator (server0)
-// drops most of its datagrams behind its own video, so no protocol could
-// hold these there.
-constexpr double kMaxDeliveredPerOrdered = 4.0;
+// fan-out; group-scoped delivery sends every message of a group, joins and
+// leaves included, only to the daemons hosting it plus the sender, so a
+// session message reaches its two hosts) and retransmissions (none are
+// needed on this lossless LAN). Measured 2.046 and 0; exact per seed,
+// like the event rate (2.37 while joins and leaves went to all six
+// daemons). On 100 Mbps NICs the coordinator (server0) drops most of its
+// datagrams behind its own video, so no protocol could hold these there.
+constexpr double kMaxDeliveredPerOrdered = 2.25;
 constexpr double kMaxRetransPerOrdered = 0.01;
 // Scheduler events per frame sent on the datacenter NICs, also exact per
 // seed. A frame costs one arrival event (downlink serialization folded in),
