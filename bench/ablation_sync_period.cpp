@@ -28,8 +28,6 @@ int main() {
       bench::ScenarioOptions opt;
       opt.seed = 100 + seed * 31;
       opt.params.sync_period = period;
-      // The table-exchange fallback must cover at least one sync period.
-      opt.params.table_exchange_delay = period + sim::msec(200);
       opt.duration_s = 50.0;
       opt.crash_at_s = 30.0;
       opt.load_balance_at_s.reset();

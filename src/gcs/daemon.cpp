@@ -306,14 +306,24 @@ void Daemon::send_batch(net::NodeId dest, util::Writer& w) {
 }
 
 void Daemon::flush_outbox() {
+  // Every submission from first_unsent_ on goes to the coordinator, or, on
+  // the coordinator itself, straight to ordering. Deliveries that ordering
+  // causes here may submit more; those arm the next flush.
+  const std::uint64_t first = first_unsent_;
+  const std::uint64_t end = first_unsent_ = submit_seq_counter_;
+  if (state_ == State::kNormal && view_.id.coord != self_) {
+    send_submits(first);
+  } else if (state_ == State::kNormal) {
+    for (std::uint64_t seq = first; seq < end; ++seq) {
+      if (auto it = pending_.find(seq); it != pending_.end()) {
+        it->second.view = view_.id;
+        handle_submit(self_, it->second);  // a copy: delivery erases it
+      }
+    }
+  }
   for (auto& [dest, w] : outbox_) {
     if (w.size() > 0) send_batch(dest, w);
   }
-  if (first_unsent_ < submit_seq_counter_ && state_ == State::kNormal &&
-      view_.id.coord != self_) {
-    send_submits(first_unsent_);
-  }
-  first_unsent_ = submit_seq_counter_;
 }
 
 // ------------------------------------------------- submission & total order
@@ -322,42 +332,20 @@ void Daemon::submit(wire::PayloadKind kind, const std::string& group,
                     GcsEndpoint origin, util::Bytes payload) {
   if (halted_) return;
   const std::uint64_t seq = submit_seq_counter_++;
-  // Register as pending *before* handing to the coordinator: when this
-  // daemon is the coordinator itself, ordering and delivery happen
-  // synchronously, and delivery of an own message erases its pending entry.
-  const wire::Submit& m =
-      pending_
-          .emplace(seq, wire::Submit{view_.id, seq, kind, group, origin,
-                                     std::move(payload)})
-          .first->second;
-  // Send eagerly when unblocked, batched with whatever else this event
-  // submits; the resubmit timer covers losses and coordinator changes (and
-  // drains anything queued while paused).
-  if (state_ == State::kNormal && !paused_) {
-    if (view_.id.coord == self_) {
-      handle_submit(self_, m);
-    } else if (!outbox_timer_.pending()) {
-      outbox_timer_.arm(0, [this] { flush_outbox(); });
-    }
+  pending_.emplace(seq, wire::Submit{view_.id, seq, kind, group, origin,
+                                     std::move(payload)});
+  // Handed over right after the event, batched with whatever else this
+  // event submits, on the coordinator too; the resubmit timer covers losses
+  // and coordinator changes (and drains anything queued while paused).
+  if (state_ == State::kNormal && !paused_ && !outbox_timer_.pending()) {
+    outbox_timer_.arm(0, [this] { flush_outbox(); });
   }
 }
 
 void Daemon::flush_pending_submits() {
   if (halted_ || state_ != State::kNormal || pending_.empty()) return;
-  first_unsent_ = submit_seq_counter_;
-  if (view_.id.coord != self_) {
-    send_submits(pending_.begin()->first);
-    return;
-  }
-  // Snapshot first: synchronous self-delivery erases entries from pending_
-  // while this runs.
-  std::vector<wire::Submit> snapshot;
-  snapshot.reserve(pending_.size());
-  for (auto& [seq, m] : pending_) {
-    m.view = view_.id;
-    snapshot.push_back(m);
-  }
-  for (wire::Submit& m : snapshot) handle_submit(self_, std::move(m));
+  first_unsent_ = pending_.begin()->first;
+  flush_outbox();
 }
 
 void Daemon::send_submits(std::uint64_t first) {
@@ -390,19 +378,12 @@ void Daemon::handle_submit(net::NodeId from, wire::Submit m) {
 }
 
 void Daemon::try_order_buffered(net::NodeId sender) {
-  // order_message() can re-enter this function via application callbacks
-  // (deliver -> on_message -> send -> submit). Remove each entry and advance
-  // the cursor *before* ordering, and re-find on every iteration, so nested
-  // calls and this loop never touch a stale iterator.
-  while (true) {
-    auto& buf = submit_buffer_[sender];
-    const std::uint64_t exp = next_submit_expected_[sender];
-    auto it = buf.find(exp);
-    if (it == buf.end()) break;
-    wire::Submit m = std::move(it->second);
+  auto& buf = submit_buffer_[sender];
+  std::uint64_t& exp = next_submit_expected_[sender];
+  for (auto it = buf.find(exp); it != buf.end(); it = buf.find(exp)) {
+    ++exp;
+    order_message(std::move(it->second), sender);
     buf.erase(it);
-    next_submit_expected_[sender] = exp + 1;
-    order_message(std::move(m), sender);
   }
 }
 
@@ -487,14 +468,9 @@ void Daemon::handle_ordered(wire::Ordered m) {
 }
 
 void Daemon::deliver_ready() {
-  // Application callbacks inside deliver_one() can send messages, which on
-  // the coordinator recurses back into handle_ordered()/deliver_ready().
-  // The guard makes the outermost call the only delivering loop; the
-  // erase-then-deliver order keeps the holdback map safe to mutate from
-  // nested arrivals. The lowest held message is next when it chains onto
-  // the horizon.
-  if (delivering_) return;
-  delivering_ = true;
+  // The lowest held message is next when it chains onto the horizon.
+  // Delivery never orders (own submissions wait for the end-of-event flush),
+  // so nothing below re-enters this loop.
   while (!holdback_.empty() && holdback_.begin()->second.prev <= horizon_) {
     auto it = holdback_.begin();
     wire::Ordered m = std::move(it->second);
@@ -504,7 +480,6 @@ void Daemon::deliver_ready() {
     // No-op on the coordinator, whose sent log already holds it.
     retention_.try_emplace(m.gseq, std::move(m));
   }
-  delivering_ = false;
 }
 
 void Daemon::deliver_one(const wire::Ordered& m) {

@@ -65,7 +65,9 @@ class Daemon {
 
   /// Joins a lightweight group. The returned handle must not outlive the
   /// daemon. Membership becomes visible when the join is ordered; the first
-  /// on_view delivered to the handle includes the caller.
+  /// on_view delivered to the handle includes the caller. Nothing is
+  /// delivered before join() returns, on the coordinator too: every
+  /// submission is handed over after the event (flush_outbox).
   [[nodiscard]] std::unique_ptr<GroupMember> join(std::string group,
                                                   GroupCallbacks callbacks);
 
@@ -170,8 +172,8 @@ class Daemon {
   void submit(wire::PayloadKind kind, const std::string& group,
               GcsEndpoint origin, util::Bytes payload);
   void flush_pending_submits();
-  /// Sends the pending submissions from sequence number `first` on to the
-  /// coordinator, as few batches as fit.
+  /// Sends the pending submissions from sequence number `first` on to a
+  /// remote coordinator, as few batches as fit.
   void send_submits(std::uint64_t first);
   void handle_submit(net::NodeId from, wire::Submit m);
   void try_order_buffered(net::NodeId sender);
@@ -252,7 +254,6 @@ class Daemon {
   std::uint64_t max_counter_seen_ = 0;
 
   // Ordering, as a member of view_.
-  bool delivering_ = false;
   /// gseq of the last message of view_ delivered here: every message
   /// addressed to this daemon up to it has been delivered.
   std::uint64_t horizon_ = 0;
@@ -269,16 +270,16 @@ class Daemon {
   std::uint64_t next_order_gseq_ = 1;
   std::map<net::NodeId, std::uint64_t> next_submit_expected_;
   std::map<net::NodeId, std::map<std::uint64_t, wire::Submit>> submit_buffer_;
-  /// Every group of the view as of the last *ordered* join or leave.
-  /// Nested ordering from delivery callbacks runs ahead of delivery, so
-  /// routing cannot use groups_; rebuilt from the full table on install.
+  /// Every group of the view as of the last *ordered* join or leave. The
+  /// coordinator routes groups it does not host, so routing cannot use
+  /// groups_; rebuilt from the full table on install.
   GroupTable routes_;
   std::map<net::NodeId, std::uint64_t> last_sent_;  // per destination
   std::map<net::NodeId, std::uint64_t> last_from_;  // per sender
   std::map<net::NodeId, MemberProgress> progress_;
 
   // Own submissions awaiting ordering, by sender_seq; `view` is refreshed
-  // on every send.
+  // on every hand-over.
   std::uint64_t submit_seq_counter_ = 1;
   std::map<std::uint64_t, wire::Submit> pending_;
   std::uint64_t first_unsent_ = 1;  // submissions from here on not yet sent

@@ -161,9 +161,8 @@ void InvariantMonitor::check_ownership_and_liveness() {
 void InvariantMonitor::check_assignment_agreement() {
   // Movie-group members that completed the same table exchange (equal tag,
   // hence the same position of the totally-ordered message stream) and saw
-  // the same view must have computed identical assignments. Fallback-timer
-  // rebalances (authoritative == false) ran on possibly-partial inputs and
-  // are skipped — the protocol itself repairs those on the next change.
+  // the same view must have held identical tables and computed identical
+  // assignments.
   struct Entry {
     net::NodeId node;
     const vod::RebalanceSnapshot* snap;
@@ -174,7 +173,7 @@ void InvariantMonitor::check_assignment_agreement() {
     for (const std::string& title : sn->server->catalog().titles()) {
       const vod::RebalanceSnapshot* snap =
           sn->server->rebalance_snapshot(title);
-      if (snap != nullptr && snap->authoritative) {
+      if (snap != nullptr) {
         by_movie[title].push_back(Entry{sn->node, snap});
       }
     }
@@ -186,19 +185,16 @@ void InvariantMonitor::check_assignment_agreement() {
         const auto& b = *entries[j].snap;
         if (a.exchange_tag != b.exchange_tag) continue;
         if (a.view_servers != b.view_servers) continue;
-        // Members rebalance on their live owner tables, which in-flight
-        // syncs may have nudged apart; §5.2's determinism claim is about
-        // identical inputs producing identical assignments.
-        if (a.input_owners != b.input_owners) continue;
-        if (a.assignment != b.assignment) {
-          std::ostringstream os;
-          os << "movie '" << title << "': servers n" << entries[i].node
-             << " and n" << entries[j].node
-             << " disagree on the re-distribution for exchange tag "
-             << a.exchange_tag << " (" << a.assignment.size() << " vs "
-             << b.assignment.size() << " clients)";
-          record(os.str());
+        if (a.input_owners == b.input_owners && a.assignment == b.assignment) {
+          continue;
         }
+        std::ostringstream os;
+        os << "movie '" << title << "': servers n" << entries[i].node
+           << " and n" << entries[j].node
+           << " disagree on the round of exchange tag " << a.exchange_tag
+           << " (tables of " << a.input_owners.size() << " vs "
+           << b.input_owners.size() << " clients)";
+        record(os.str());
       }
     }
   }

@@ -7,8 +7,9 @@
 //                      (the paper expects duplicate transmission during a
 //                      takeover, never steady-state dual ownership);
 //  2. agreement      — movie-group members that completed the same table
-//                      exchange computed identical re-distribution
-//                      assignments (§5.2's determinism claim);
+//                      exchange held identical client tables and computed
+//                      identical re-distribution assignments (§5.2's
+//                      determinism claim);
 //  3. liveness       — a playing client whose movie is held by at least
 //                      one healthy, reachable server never stalls longer
 //                      than the takeover bound;

@@ -48,10 +48,6 @@ struct VodParams {
   double default_rate_fps = 30.0;              // startup transmission rate
   double min_rate_fps = 5.0;
   double max_rate_fps = 60.0;
-  /// After a movie-group view change, wait at most this long for the other
-  /// servers' client tables (delivered by the periodic sync) before
-  /// computing the new assignment. Must exceed sync_period.
-  sim::Duration table_exchange_delay = sim::msec(700);
   /// Remainder policy of the deterministic re-distribution. All servers of
   /// a movie group must agree on this, or their independently computed
   /// assignments diverge (the chaos invariant monitor checks exactly that).

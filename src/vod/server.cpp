@@ -59,7 +59,7 @@ void VodServer::detach() {
   clients.reserve(session_index_.size());
   for (const auto& [client, slot] : session_index_) clients.push_back(client);
   std::sort(clients.begin(), clients.end());  // id order, not hash order
-  for (std::uint64_t c : clients) close_session(c, /*client_gone=*/false);
+  for (std::uint64_t c : clients) close_session(c);
   halt();
 }
 
@@ -70,7 +70,6 @@ void VodServer::halt() {
   for (const auto& [id, slot] : session_index_) {
     session_slab_[slot]->send_timer.cancel();
   }
-  for (auto& [name, ms] : movies_) ms->rebalance_timer.cancel();
   util::log_info(kLog, "server n", daemon_->self(), " halted");
 }
 
@@ -94,7 +93,7 @@ void VodServer::add_movie(std::shared_ptr<const mpeg::Movie> movie) {
   const std::string name = movie->name();
   catalog_.add(movie);
   if (movies_.contains(name)) return;
-  auto ms = std::make_unique<MovieState>(*sched_);
+  auto ms = std::make_unique<MovieState>();
   ms->movie = std::move(movie);
   ms->member = daemon_->join(
       movie_group_name(name),
@@ -118,7 +117,7 @@ void VodServer::remove_movie(const std::string& name) {
   // Close local sessions for this movie; survivors will adopt the clients
   // when our leave is observed as a movie-group view change.
   const std::vector<std::uint64_t> to_close = it->second->local_sessions;
-  for (std::uint64_t c : to_close) close_session(c, /*client_gone=*/false);
+  for (std::uint64_t c : to_close) close_session(c);
   movies_.erase(it);
 }
 
@@ -143,66 +142,63 @@ void VodServer::handle_open_request(const wire::OpenRequest& req) {
   auto it = movies_.find(req.movie);
   if (it == movies_.end()) return;  // we do not hold this movie
   MovieState& ms = *it->second;
+  // Until its own join is delivered, a server is not in the view its peers
+  // decide from; they decide without it.
+  if (!ms.in_view(daemon_->self())) return;
+  if (ms.rebalance_pending) {
+    ms.held_opens.push_back(req);
+  } else {
+    decide_open(ms, req);
+  }
+}
 
-  // Duplicate open (client retry): if we already serve it, re-send the
-  // reply; if someone else owns it, stay silent.
-  auto cit = ms.clients.try_emplace(req.client_id).first;
-  if (Session* existing = find_session(req.client_id)) {
-    cit->second.deferrals = 0;
+void VodServer::decide_open(MovieState& ms, const wire::OpenRequest& req) {
+  // Every member of the movie group sees the same (totally ordered) request
+  // and holds the same table, so every member records the same owner and
+  // exactly that owner serves: this needs no extra agreement round.
+  const std::vector<net::NodeId>& view = ms.view_servers;
+  Client& c = ms.clients[req.client_id];
+  net::NodeId owner;
+  if (++c.deferrals >= 2) {
+    // A second ask with no sync from the owner naming the client in
+    // between proves that the owner cannot reach it. The rescue ignores the
+    // claim: the lowest-id member of the view serves. The count outlives a
+    // forgotten claim, so a lost rescue retries.
+    owner = view.front();
+    c.deferrals = 0;
+  } else if (c.claim && ms.in_view(c.claim->owner)) {
+    owner = c.claim->owner;  // a client the table holds: its owner answers
+  } else {
+    std::vector<std::size_t> load(view.size());
+    for (const auto& [id, other] : ms.clients) {
+      if (!other.claim) continue;
+      const auto v =
+          std::lower_bound(view.begin(), view.end(), other.claim->owner);
+      if (v != view.end() && *v == other.claim->owner) ++load[v - view.begin()];
+    }
+    owner = choose_for_new_client(view, load);
+  }
+  ms.assert_claim({.client_id = req.client_id,
+                   .data_endpoint = req.data_endpoint,
+                   .rate_fps = params_.default_rate_fps,
+                   .quality_fps = req.capability_fps,
+                   .capability_fps = req.capability_fps},
+                  owner);
+
+  Session* existing = find_session(req.client_id);
+  if (owner != daemon_->self()) {
+    if (existing != nullptr) {  // rescued away from us
+      ++stats_.migrations_out;
+      close_session(req.client_id);
+    }
+  } else if (existing != nullptr) {  // the reply was lost: re-send it
     wire::OpenReply reply{req.client_id, req.movie, ms.movie->fps(),
                           ms.movie->frame_count(),
                           ms.movie->avg_frame_bytes()};
     existing->member->send(wire::encode(reply));
-    return;
-  }
-  // A second ask in a row proves the client unserved: a served client never
-  // retries twice (the branch above re-sends the reply, and its owner's
-  // periodic syncs clear the count at every peer). The tables are lying —
-  // a stale claim on a live peer, or an election over divergent tables in
-  // which no member picked itself — and every retry would replay the same
-  // silent outcome. So the rescue ignores the tables: the lowest-id member
-  // of the view serves, a choice every member computes from the view alone.
-  // The count outlives a forgotten claim, so a lost rescue retries.
-  const std::vector<net::NodeId>& view = ms.view_servers;
-  bool rescue = false;
-  if (++cit->second.deferrals >= 2) {
-    if (!view.empty() && view.front() != daemon_->self()) {
-      ms.clients.erase(cit);
-      return;  // the rescuer's copy of this same request opens
-    }
-    cit->second = Client{};  // the table lied about this client: start over
-    rescue = true;
-  } else if (const auto& claim = cit->second.claim;
-             claim && claim->owner != daemon_->self() &&
-             std::binary_search(view.begin(), view.end(), claim->owner)) {
-    return;  // first ask: defer to the believed live owner
-  }
-
-  // Every holder of the movie sees the same (totally ordered) request and
-  // the same table, so this choice needs no extra agreement round.
-  net::NodeId chosen = daemon_->self();
-  if (!rescue && !view.empty()) {
-    std::vector<std::size_t> load(view.size());
-    for (const auto& [id, c] : ms.clients) {
-      if (!c.claim) continue;
-      const auto v =
-          std::lower_bound(view.begin(), view.end(), c.claim->owner);
-      if (v != view.end() && *v == c.claim->owner) ++load[v - view.begin()];
-    }
-    chosen = choose_for_new_client(view, load);
-  }
-
-  Client& client = cit->second;
-  client.claim = Client::Claim{{.client_id = req.client_id,
-                                .data_endpoint = req.data_endpoint,
-                                .rate_fps = params_.default_rate_fps,
-                                .quality_fps = req.capability_fps,
-                                .capability_fps = req.capability_fps},
-                               chosen};
-  if (chosen == daemon_->self()) {
-    client.deferrals = 0;
+  } else {
     ++stats_.sessions_opened;
-    open_session(client.claim->rec, ms.movie, /*is_takeover=*/false);
+    open_session(c.claim->rec, ms.movie, /*is_takeover=*/false);
   }
 }
 
@@ -229,71 +225,48 @@ void VodServer::apply_state_sync(net::NodeId from, const wire::StateSync& s) {
   auto it = movies_.find(s.movie);
   if (it == movies_.end()) return;
   MovieState& ms = *it->second;
-
   if (s.exchange_tag != 0) {
-    // A table-exchange message for a redistribution round.
-    if (from != daemon_->self()) {
-      for (const wire::ClientRecord& rec : s.clients) {
-        Client& c = ms.clients[rec.client_id];
-        c.claim = Client::Claim{rec, from};
-        c.absent = 0;
-      }
-    }
-    if (ms.rebalance_pending && s.exchange_tag == ms.exchange_tag) {
-      ms.pending_tables.erase(from);
-      if (ms.pending_tables.empty()) {
-        rebalance_now(s.movie, /*authoritative=*/true);
-      }
-    }
+    apply_table(ms, from, s);
     return;
   }
-  if (from == daemon_->self()) return;  // own periodic sync
 
-  // The sync is the owner's authoritative client list: update its clients,
-  // and forget clients it used to own but stopped reporting. A single
-  // absence is NOT enough: a sync built just before a session opened (or
-  // during a hand-off) would otherwise erase a live client's record and
-  // orphan it. Absence must persist across two consecutive syncs.
+  // The sync is the owner's client list, applied alike at every member, the
+  // owner included: update its clients, and forget clients it used to own
+  // but stopped reporting. A single absence is NOT enough: a sync built
+  // just before a session opened (or during a hand-off) would otherwise
+  // erase a live client's record and orphan it. Absence must persist across
+  // two consecutive syncs.
   const std::uint64_t stamp = ++ms.syncs_applied;
   for (const wire::ClientRecord& rec : s.clients) {
-    Client& c = ms.clients[rec.client_id];
-    c.claim = Client::Claim{rec, from};
-    c.absent = 0;
+    Client& c = ms.assert_claim(rec, from);
     c.deferrals = 0;
     c.reported_in = stamp;
-
-    // Conflict repair: divergent fallback rebalances can leave two members
-    // both streaming to the same client, and nothing else ever closes the
-    // losing session. When a *lower-id* member keeps claiming a client we
-    // also serve, the higher id yields — both sides apply the same rule, so
-    // exactly one session survives. The threshold rides out transient
-    // hand-off overlap (an in-flight exchange resolves within ~2 syncs).
-    const Session* local = find_session(rec.client_id);
-    if (from < daemon_->self() && local != nullptr &&
-        local->movie->name() == s.movie) {
-      if (++c.conflicts >= 3) {
-        c.conflicts = 0;
-        ++stats_.migrations_out;
-        util::log_info(kLog, "server n", daemon_->self(), " yields client ",
-                       rec.client_id, " to n", from);
-        close_session(rec.client_id, /*client_gone=*/false);
-      }
-    } else {
-      c.conflicts = 0;
-    }
   }
   for (auto cit = ms.clients.begin(); cit != ms.clients.end();) {
     Client& c = cit->second;
-    if (c.claim && c.claim->owner == from && c.reported_in != stamp) {
-      // The claimant dropped this client, so any ownership conflict is
-      // over — the yield counter must only ever see *consecutive* claims.
-      c.conflicts = 0;
+    if (c.claim && c.claim->owner == from && c.reported_in != stamp &&
+        ++c.absent >= 2) {
       // The second miss forgets the claim but not a pending deferral count:
       // a lost rescue must still retry on the client's next ask.
-      if (++c.absent >= 2) c = Client{.claim = {}, .deferrals = c.deferrals};
+      c = Client{.claim = {}, .deferrals = c.deferrals};
     }
     cit = c.claim || c.deferrals > 0 ? std::next(cit) : ms.clients.erase(cit);
   }
+}
+
+void VodServer::apply_table(MovieState& ms, net::NodeId from,
+                            const wire::StateSync& table) {
+  // A table for a superseded round would re-claim clients that round's
+  // successor has since moved.
+  if (!ms.rebalance_pending || table.exchange_tag != ms.exchange_tag) return;
+  for (const wire::ClientRecord& rec : table.clients) {
+    ms.assert_claim(rec, from);
+  }
+  for (const wire::ForeignClaim& o : table.orphans) {
+    ms.assert_claim(o.rec, o.owner);
+  }
+  ms.pending_tables.erase(from);
+  if (ms.pending_tables.empty()) rebalance_now(ms);
 }
 
 void VodServer::on_movie_group_view(const std::string& movie,
@@ -314,14 +287,28 @@ void VodServer::on_movie_group_view(const std::string& movie,
   // computes the assignment from identical inputs.
   ms.exchange_tag =
       (v.daemon_view_counter << 20) | static_cast<std::uint64_t>(v.change_seq);
-  ms.pending_tables.clear();
-  for (net::NodeId n : ms.view_servers) {
-    if (n != daemon_->self()) ms.pending_tables.insert(n);
-  }
+  ms.pending_tables = {ms.view_servers.begin(), ms.view_servers.end()};
 
+  // A member new to the view (a newcomer, a restarted server, the other
+  // side of a partition) holds none of the counts and none of the claims
+  // whose owner has left. So the counts restart here, and each table also
+  // carries its sender's orphaned claims.
   wire::StateSync table;
   table.movie = movie;
   table.exchange_tag = ms.exchange_tag;
+  for (auto cit = ms.clients.begin(); cit != ms.clients.end();) {
+    Client& c = cit->second;
+    c.deferrals = 0;
+    c.asserted = false;
+    if (!c.claim) {
+      cit = ms.clients.erase(cit);
+      continue;
+    }
+    if (!ms.in_view(c.claim->owner)) {
+      table.orphans.push_back({c.claim->rec, c.claim->owner});
+    }
+    ++cit;
+  }
   for (const std::uint64_t client : ms.local_sessions) {
     // Advertise the last *synced* state (see Session::synced_rec): the
     // paper's conservative approach, so a takeover re-sends (duplicates)
@@ -329,37 +316,26 @@ void VodServer::on_movie_group_view(const std::string& movie,
     table.clients.push_back(find_session(client)->synced_rec);
   }
   ms.member->send(wire::encode(table));
-
-  // Fallback only for pathological cases (a member crashing mid-round is
-  // resolved by the next view change; this timer is belt and braces).
-  const std::string name = movie;
-  ms.rebalance_timer.arm(params_.table_exchange_delay, [this, name] {
-    rebalance_now(name, /*authoritative=*/false);
-  });
 }
 
-void VodServer::rebalance_now(const std::string& movie, bool authoritative) {
-  auto it = movies_.find(movie);
-  if (it == movies_.end() || halted_) return;
-  MovieState& ms = *it->second;
-  if (!ms.rebalance_pending) return;
+void VodServer::rebalance_now(MovieState& ms) {
   ms.rebalance_pending = false;
-  ms.rebalance_timer.cancel();
   ++stats_.rebalances;
 
+  // A claim naming a view member that no ordered message asserted since the
+  // view changed is one only some members still hold: its owner dropped it.
+  std::erase_if(ms.clients, [&ms](const auto& entry) {
+    const Client& c = entry.second;
+    return c.claim && !c.asserted && ms.in_view(c.claim->owner);
+  });
   Assignment owners;
-  for (auto& [client, c] : ms.clients) {
-    c.conflicts = 0;  // the new assignment supersedes old conflicts
+  for (const auto& [client, c] : ms.clients) {
     if (c.claim) owners.emplace_hint(owners.end(), client, c.claim->owner);
   }
-  Assignment next =
-      rebalance(owners, ms.view_servers, params_.rebalance_policy);
+  const std::vector<net::NodeId>& view = ms.view_servers;
+  Assignment next = rebalance(owners, view, params_.rebalance_policy);
   for (const auto& [client, owner] : next) {
-    // Looked up afresh: opening or closing a session can deliver group
-    // messages synchronously, and those may change the table.
-    const auto cit = ms.clients.find(client);
-    if (cit == ms.clients.end() || !cit->second.claim) continue;
-    Client::Claim& claim = *cit->second.claim;
+    Client::Claim& claim = *ms.clients[client].claim;
     claim.owner = owner;
     const bool serving = session_index_.contains(client);
     if (owner == daemon_->self() && !serving) {
@@ -371,12 +347,14 @@ void VodServer::rebalance_now(const std::string& movie, bool authoritative) {
       ++stats_.migrations_out;
       util::log_info(kLog, "server n", daemon_->self(), " hands client ",
                      client, " to n", owner);
-      close_session(client, /*client_gone=*/false);
+      close_session(client);
     }
   }
-  ms.last_rebalance =
-      RebalanceSnapshot{ms.exchange_tag, authoritative, ms.view_servers,
-                        std::move(owners), std::move(next)};
+  ms.last_rebalance = RebalanceSnapshot{ms.exchange_tag, view,
+                                        std::move(owners), std::move(next)};
+  for (const wire::OpenRequest& req : std::exchange(ms.held_opens, {})) {
+    decide_open(ms, req);
+  }
 }
 
 const RebalanceSnapshot* VodServer::rebalance_snapshot(
@@ -450,7 +428,9 @@ void VodServer::open_session(const wire::ClientRecord& rec,
   if (!s->rec.paused) arm_send_timer(*s);
 }
 
-void VodServer::close_session(std::uint64_t client_id, bool client_gone) {
+void VodServer::close_session(std::uint64_t client_id) {
+  // The client table is untouched: the owner's next syncs report the
+  // absence to every member alike.
   const auto it = session_index_.find(client_id);
   if (it == session_index_.end()) return;
   const std::uint32_t slot = it->second;
@@ -467,12 +447,6 @@ void VodServer::close_session(std::uint64_t client_id, bool client_gone) {
     if (auto lit = std::find(ls.begin(), ls.end(), client_id);
         lit != ls.end()) {
       ls.erase(lit);
-    }
-    auto& clients = mit->second->clients;
-    if (client_gone) {
-      clients.erase(client_id);
-    } else if (auto cit = clients.find(client_id); cit != clients.end()) {
-      cit->second.deferrals = 0;
     }
   }
 }
@@ -556,7 +530,7 @@ void VodServer::on_session_message(std::uint64_t client_id,
           if (!s.rec.paused) arm_send_timer(s);
           break;
         case wire::VcrOp::kStop:
-          close_session(client_id, /*client_gone=*/true);
+          close_session(client_id);
           return;
       }
       break;
@@ -603,7 +577,7 @@ void VodServer::on_session_view(std::uint64_t client_id,
     if (v.members.size() == 1 && v.members[0].node == daemon_->self() &&
         s->rec.next_frame > 0) {
       util::log_info(kLog, "client ", client_id, " left; closing session");
-      close_session(client_id, /*client_gone=*/true);
+      close_session(client_id);
     }
   }
 }

@@ -7,6 +7,7 @@
 // offset — the client never learns which server is sending.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -41,18 +42,12 @@ struct ServerStats {
 
 /// The last re-distribution this server computed for one movie, exposed so
 /// an external monitor can assert that all surviving movie-group members
-/// reached the same assignment for the same view (§5.2's determinism
-/// claim). `authoritative` is false when the fallback timer fired before
-/// every member's table arrived — then the inputs were not guaranteed
-/// identical across members and the outputs are not comparable.
+/// reached the same table and the same assignment for the same view (§5.2's
+/// determinism claim).
 struct RebalanceSnapshot {
   std::uint64_t exchange_tag = 0;
-  bool authoritative = false;
   std::vector<net::NodeId> view_servers;
-  /// The owner table the computation ran on. Members may legitimately hold
-  /// slightly different tables for the same exchange (periodic syncs keep
-  /// flowing while the exchange is in flight), so monitors must only
-  /// compare assignments whose inputs were identical.
+  /// The owner table the computation ran on.
   Assignment input_owners;
   Assignment assignment;
 };
@@ -131,8 +126,9 @@ class VodServer {
     bool finished = false;  // reached the end of the movie
   };
 
-  /// One entry of a movie's shared client table (§5.2). The counters drive
-  /// the repair rules for tables that diverged (DESIGN §5.6).
+  /// One entry of a movie's client table (§5.2). Only ordered messages
+  /// change it, in the same way at every member of the movie group, so all
+  /// members hold the same table at the same message (DESIGN §5.6).
   struct Client {
     struct Claim {
       wire::ClientRecord rec;  // as last synced
@@ -143,29 +139,46 @@ class VodServer {
     /// after that count is cleared).
     std::optional<Claim> claim;
     int absent = 0;     // owner syncs in a row that left it out: forget at 2
-    int conflicts = 0;  // lower-id claims in a row on our session: yield at 3
-    int deferrals = 0;  // asks in a row deferred to a live peer: rescue at 2
+    int deferrals = 0;  // asks in a row since the owner last synced it
+    /// An ordered message set the claim since the current view's delivery.
+    bool asserted = false;
     std::uint64_t reported_in = 0;  // syncs_applied of the last one naming it
   };
 
   struct MovieState {
-    explicit MovieState(sim::Scheduler& sched) : rebalance_timer(sched) {}
+    [[nodiscard]] bool in_view(net::NodeId node) const {
+      return std::binary_search(view_servers.begin(), view_servers.end(),
+                                node);
+    }
+    /// Records an ordered message's claim of `rec` for `owner`.
+    Client& assert_claim(const wire::ClientRecord& rec, net::NodeId owner) {
+      Client& c = clients[rec.client_id];
+      c.claim = Client::Claim{rec, owner};
+      c.absent = 0;
+      c.asserted = true;
+      return c;
+    }
+
     std::shared_ptr<const mpeg::Movie> movie;
     std::unique_ptr<gcs::GroupMember> member;  // movie group
     /// Every client watching this movie (self + remote), by id.
     std::map<std::uint64_t, Client> clients;
-    /// Periodic syncs from peers applied so far (stamps `reported_in`).
+    /// Periodic syncs applied so far (stamps `reported_in`).
     std::uint64_t syncs_applied = 0;
     /// Redistribution round state for the current group view. A round is
     /// identified by the exchange tag (derived from the group view); every
     /// member rebalances when it has delivered the tagged table of every
-    /// view member — the same point of the total order at all members.
+    /// view member, its own included — the same point of the total order at
+    /// all members. A round that never completes is superseded by the next
+    /// view change.
     std::vector<net::NodeId> view_servers;
     std::uint64_t exchange_tag = 0;
     std::set<net::NodeId> pending_tables;
     bool rebalance_pending = false;
-    sim::OneShotTimer rebalance_timer;
     RebalanceSnapshot last_rebalance;
+    /// Open requests delivered during a round, decided when it completes:
+    /// until then the members' tables may differ.
+    std::vector<wire::OpenRequest> held_opens;
     /// Client ids of the local sessions streaming this movie, in open order.
     /// Periodic syncs and table exchanges walk this list, so their cost is
     /// O(sessions of this movie), not O(movies × all sessions).
@@ -185,14 +198,17 @@ class VodServer {
   void on_session_view(std::uint64_t client_id, const gcs::GroupView& v);
 
   void handle_open_request(const wire::OpenRequest& req);
+  void decide_open(MovieState& ms, const wire::OpenRequest& req);
   void apply_state_sync(net::NodeId from, const wire::StateSync& sync);
-  void rebalance_now(const std::string& movie, bool authoritative);
+  void apply_table(MovieState& ms, net::NodeId from,
+                   const wire::StateSync& table);
+  void rebalance_now(MovieState& ms);
 
   // session lifecycle
   void open_session(const wire::ClientRecord& rec,
                     std::shared_ptr<const mpeg::Movie> movie,
                     bool is_takeover);
-  void close_session(std::uint64_t client_id, bool client_gone);
+  void close_session(std::uint64_t client_id);
   void send_tick(Session& s);
   void arm_send_timer(Session& s);
   void send_sync();

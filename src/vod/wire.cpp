@@ -39,6 +39,34 @@ net::Endpoint get_endpoint(util::Reader& r) {
   return e;
 }
 
+// An encoded ClientRecord is exactly 47 bytes, a ForeignClaim 51.
+constexpr std::size_t kRecordBytes = 47;
+
+void put_record(util::Writer& w, const ClientRecord& c) {
+  w.u64(c.client_id);
+  put_endpoint(w, c.data_endpoint);
+  w.u64(c.next_frame);
+  w.f64(c.rate_fps);
+  w.f64(c.quality_fps);
+  w.f64(c.capability_fps);
+  w.boolean(c.paused);
+}
+
+ClientRecord get_record(util::Reader& r) {
+  ClientRecord c;
+  c.client_id = r.u64();
+  c.data_endpoint = get_endpoint(r);
+  c.next_frame = r.u64();
+  c.rate_fps = r.f64();
+  c.quality_fps = r.f64();
+  c.capability_fps = r.f64();
+  c.paused = r.boolean();
+  check_fps(r, c.rate_fps);
+  check_fps(r, c.quality_fps);
+  check_fps(r, c.capability_fps);
+  return c;
+}
+
 }  // namespace
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data) {
@@ -215,14 +243,11 @@ void encode_into(const StateSync& m, util::Writer& w) {
   w.str(m.movie);
   w.u64(m.exchange_tag);
   w.u32(static_cast<std::uint32_t>(m.clients.size()));
-  for (const ClientRecord& c : m.clients) {
-    w.u64(c.client_id);
-    put_endpoint(w, c.data_endpoint);
-    w.u64(c.next_frame);
-    w.f64(c.rate_fps);
-    w.f64(c.quality_fps);
-    w.f64(c.capability_fps);
-    w.boolean(c.paused);
+  for (const ClientRecord& c : m.clients) put_record(w, c);
+  w.u32(static_cast<std::uint32_t>(m.orphans.size()));
+  for (const ForeignClaim& o : m.orphans) {
+    put_record(w, o.rec);
+    w.u32(o.owner);
   }
   util::frame_seal(w);
 }
@@ -239,24 +264,20 @@ std::optional<StateSync> decode_state_sync(util::Datagram d) {
   StateSync m;
   m.movie = r->str();
   m.exchange_tag = r->u64();
+  // A count the remaining bytes cannot hold is malformed — reject before
+  // reserving anything.
   const std::uint32_t n = r->u32();
-  // Each encoded ClientRecord is exactly 47 bytes; a count the remaining
-  // bytes cannot hold is malformed — reject before reserving anything.
-  if (!r->ok() || n > r->remaining() / 47) return std::nullopt;
+  if (!r->ok() || n > r->remaining() / kRecordBytes) return std::nullopt;
   m.clients.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ClientRecord c;
-    c.client_id = r->u64();
-    c.data_endpoint = get_endpoint(*r);
-    c.next_frame = r->u64();
-    c.rate_fps = r->f64();
-    c.quality_fps = r->f64();
-    c.capability_fps = r->f64();
-    c.paused = r->boolean();
-    check_fps(*r, c.rate_fps);
-    check_fps(*r, c.quality_fps);
-    check_fps(*r, c.capability_fps);
-    m.clients.push_back(c);
+  for (std::uint32_t i = 0; i < n; ++i) m.clients.push_back(get_record(*r));
+  const std::uint32_t k = r->u32();
+  if (!r->ok() || k > r->remaining() / (kRecordBytes + 4)) return std::nullopt;
+  m.orphans.reserve(k);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    ForeignClaim o;
+    o.rec = get_record(*r);
+    o.owner = r->u32();
+    m.orphans.push_back(o);
   }
   if (!r->done()) return std::nullopt;
   return m;

@@ -81,6 +81,12 @@ struct ClientRecord {
   bool paused = false;
 };
 
+/// A client claimed by a server other than the sender of the message.
+struct ForeignClaim {
+  ClientRecord rec;
+  net::NodeId owner = net::kInvalidNode;
+};
+
 struct StateSync {
   std::string movie;
   /// 0 = periodic sync. Nonzero = table exchange for the movie-group view
@@ -88,7 +94,11 @@ struct StateSync {
   /// it has delivered the tagged tables of all view members, which is the
   /// same position in the total order everywhere.
   std::uint64_t exchange_tag = 0;
+  /// The sender's own clients.
   std::vector<ClientRecord> clients;
+  /// Table exchanges only: the claims the sender holds whose owner has left
+  /// the view, so that every member of the new view learns them.
+  std::vector<ForeignClaim> orphans;
 };
 
 struct Frame {

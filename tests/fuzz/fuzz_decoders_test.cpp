@@ -374,8 +374,7 @@ std::vector<FuzzTarget> vod_targets() {
                  StateSync m;
                  m.movie = rand_str(rng, 24);
                  m.exchange_tag = rand_u64(rng);
-                 const auto n = rng.uniform_int(0, 4);
-                 for (std::int64_t i = 0; i < n; ++i) {
+                 auto record = [&rng] {
                    ClientRecord c;
                    c.client_id = rand_u64(rng);
                    c.data_endpoint = rand_ep(rng);
@@ -384,7 +383,16 @@ std::vector<FuzzTarget> vod_targets() {
                    c.quality_fps = rng.uniform(0.0, 120.0);
                    c.capability_fps = rng.uniform(0.0, 120.0);
                    c.paused = rng.bernoulli(0.3);
-                   m.clients.push_back(c);
+                   return c;
+                 };
+                 const auto n = rng.uniform_int(0, 4);
+                 for (std::int64_t i = 0; i < n; ++i) {
+                   m.clients.push_back(record());
+                 }
+                 const auto k = rng.uniform_int(0, 2);
+                 for (std::int64_t i = 0; i < k; ++i) {
+                   m.orphans.push_back(
+                       {record(), rand_node(rng)});
                  }
                  return encode(m);
                },

@@ -30,6 +30,38 @@ TEST(GcsDaemon, SingleDaemonSelfDelivery) {
   EXPECT_EQ(lis.messages[0].from, m->endpoint());
 }
 
+TEST(GcsDaemon, CoordinatorDeliversNothingBeforeJoinOrSendReturns) {
+  // The coordinator orders its own submissions after the event, as it does
+  // every other daemon's: a caller that stores the handle join() returns
+  // sees the group's first view through it, and a send is never delivered
+  // back inside the call.
+  GcsHarness h(3);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  int coord = 0;
+  while (h.node(coord) != h.daemon(0).view().id.coord) ++coord;
+
+  Listener lis;
+  std::unique_ptr<GroupMember> m;
+  bool handle_stored_at_first_view = false;
+  GroupCallbacks cb = lis.callbacks();
+  cb.on_view = [&](const GroupView& v) {
+    if (lis.views.empty()) handle_stored_at_first_view = m != nullptr;
+    lis.views.push_back(v);
+  };
+  m = h.daemon(coord).join("g", cb);
+  EXPECT_TRUE(lis.views.empty());
+  m->send(text_msg("x"));
+  EXPECT_TRUE(lis.messages.empty());
+
+  h.run_for(sim::sec(1));
+  ASSERT_EQ(lis.views.size(), 1u);
+  EXPECT_TRUE(handle_stored_at_first_view);
+  EXPECT_EQ(lis.views[0].members,
+            (std::vector<GcsEndpoint>{m->endpoint()}));
+  EXPECT_EQ(lis.texts(), (std::vector<std::string>{"x"}));
+}
+
 TEST(GcsDaemon, TwoDaemonsConvergeToOneView) {
   GcsHarness h(2);
   h.start_all();

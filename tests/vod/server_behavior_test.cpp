@@ -3,6 +3,8 @@
 // client table's repair rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../integration/vod_testbed.hpp"
 
 namespace ftvod::vod {
@@ -133,6 +135,131 @@ TEST(ServerBehavior, CatalogReflectsAddAndRemove) {
   EXPECT_FALSE(bed.server(0).catalog().contains("extra"));
 }
 
+TEST(ServerBehavior, MovieAddedOnTheCoordinatorCompletesARoundEverywhere) {
+  // The coordinator's server joins the movie group last, so its join is the
+  // view change. Its first view must reach it (the daemon delivers nothing
+  // before join() returns) and it must send its table like every other
+  // member: then every member completes the same round.
+  Deployment dep(7, net::lan_quality());
+  std::vector<net::NodeId> hosts;  // all first: every daemon knows its peers
+  for (int i = 0; i < 3; ++i) hosts.push_back(dep.add_host(std::to_string(i)));
+  for (net::NodeId h : hosts) dep.start_server(h);
+  dep.run_for(sim::sec(2.0));  // one daemon view, one coordinator
+  const net::NodeId coord = dep.servers()[0]->daemon->view().id.coord;
+  const auto movie = mpeg::Movie::synthetic("late", 60.0);
+  for (auto& sn : dep.servers()) {
+    if (sn->node != coord) sn->server->add_movie(movie);
+  }
+  dep.run_for(sim::sec(1.0));
+  dep.find_server(coord)->server->add_movie(movie);
+  dep.run_for(sim::sec(1.0));
+
+  std::uint64_t tag = 0;
+  for (auto& sn : dep.servers()) {
+    const RebalanceSnapshot* snap = sn->server->rebalance_snapshot("late");
+    ASSERT_NE(snap, nullptr) << "n" << sn->node;
+    EXPECT_FALSE(sn->server->rebalance_pending("late")) << "n" << sn->node;
+    EXPECT_EQ(snap->view_servers.size(), 3u) << "n" << sn->node;
+    if (tag == 0) tag = snap->exchange_tag;
+    EXPECT_EQ(snap->exchange_tag, tag) << "n" << sn->node;
+  }
+}
+
+class OpenDuringARound : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(OpenDuringARound, IsDecidedFromTheCompletedTable) {
+  // A third server adds the movie as a client asks to watch it. The
+  // newcomer's table is empty until the round its join starts completes, so
+  // a request delivered during the round waits for it: every member then
+  // decides from the same table, and exactly one server opens the session.
+  Deployment dep(GetParam() * 131 + 3, net::lan_quality());
+  std::vector<net::NodeId> hosts;  // all first: every daemon knows its peers
+  for (int i = 0; i < 7; ++i) hosts.push_back(dep.add_host(std::to_string(i)));
+  for (int i = 0; i < 3; ++i) dep.start_server(hosts[i]);
+  for (int i = 3; i < 7; ++i) dep.start_client(hosts[i]);
+  const auto movie = mpeg::Movie::synthetic("feature", 300.0);
+  dep.servers()[0]->server->add_movie(movie);
+  dep.servers()[1]->server->add_movie(movie);
+  dep.run_for(sim::sec(2.0));
+  for (int c = 0; c < 3; ++c) dep.clients()[c]->client->watch("feature");
+  dep.run_for(sim::sec(3.0));
+  dep.servers()[2]->server->add_movie(movie);
+  dep.clients()[3]->client->watch("feature");
+  dep.run_for(sim::sec(3.0));
+
+  const RebalanceSnapshot* first =
+      dep.servers()[0]->server->rebalance_snapshot("feature");
+  ASSERT_NE(first, nullptr);
+  std::uint64_t opened = 0;
+  int serving = 0;
+  for (auto& sn : dep.servers()) {
+    const RebalanceSnapshot* snap = sn->server->rebalance_snapshot("feature");
+    ASSERT_NE(snap, nullptr) << "n" << sn->node;
+    EXPECT_EQ(snap->exchange_tag, first->exchange_tag) << "n" << sn->node;
+    EXPECT_EQ(snap->input_owners, first->input_owners) << "n" << sn->node;
+    opened += sn->server->stats().sessions_opened;
+    if (sn->server->serves(dep.clients()[3]->client->client_id())) ++serving;
+  }
+  EXPECT_EQ(opened, 4u);
+  EXPECT_EQ(serving, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OpenDuringARound, ::testing::Range(0u, 8u));
+
+class OpenBeforeTheJoin : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(OpenBeforeTheJoin, IsLeftToTheMembers) {
+  // A server adds the movie just after a client asked for it, so the
+  // request is ordered before the server's join but delivered after
+  // add_movie. Not yet in the view, the server must leave the decision to
+  // the members: a claim it recorded from an empty view names no server,
+  // and would reach every member as an orphan at its first round. kStable
+  // moves no client here (two members with one client each when the
+  // newcomer joins).
+  VodParams params;
+  params.rebalance_policy = RebalancePolicy::kStable;
+  Deployment dep(GetParam() * 17 + 5, net::lan_quality(), params);
+  std::vector<net::NodeId> hosts;  // all first: every daemon knows its peers
+  for (int i = 0; i < 5; ++i) hosts.push_back(dep.add_host(std::to_string(i)));
+  for (int i = 0; i < 3; ++i) dep.start_server(hosts[i]);
+  for (int i = 3; i < 5; ++i) dep.start_client(hosts[i]);
+  dep.run_for(sim::sec(2.0));
+  // The newcomer is a server other than the coordinator, so that its join
+  // travels to the coordinator like the client's request.
+  const net::NodeId coord = dep.servers()[0]->daemon->view().id.coord;
+  const int newcomer = dep.servers()[2]->node != coord ? 2 : 1;
+  const auto movie = mpeg::Movie::synthetic("feature", 300.0);
+  for (int s = 0; s < 3; ++s) {
+    if (s != newcomer) dep.servers()[s]->server->add_movie(movie);
+  }
+  dep.run_for(sim::sec(1.0));
+  dep.clients()[0]->client->watch("feature");
+  dep.run_for(sim::sec(3.0));
+  dep.clients()[1]->client->watch("feature");
+  dep.run_for(sim::usec(200));
+  dep.servers()[newcomer]->server->add_movie(movie);
+  dep.run_for(sim::sec(3.0));
+
+  std::uint64_t opened = 0, moved = 0;
+  for (auto& sn : dep.servers()) {
+    opened += sn->server->stats().sessions_opened;
+    moved += sn->server->stats().takeovers + sn->server->stats().migrations_out;
+    const RebalanceSnapshot* snap = sn->server->rebalance_snapshot("feature");
+    ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(snap->view_servers.size(), 3u);
+    for (const auto& [client, owner] : snap->input_owners) {
+      EXPECT_TRUE(std::binary_search(snap->view_servers.begin(),
+                                     snap->view_servers.end(), owner))
+          << "n" << sn->node << ": client " << client << " claimed by n"
+          << owner;
+    }
+  }
+  EXPECT_EQ(opened, 2u);
+  EXPECT_EQ(moved, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OpenBeforeTheJoin, ::testing::Range(0u, 8u));
+
 class ExactlyOneOwner : public ::testing::TestWithParam<unsigned> {};
 
 // Invariant: after any crash/recovery sequence settles, each client is
@@ -185,12 +312,64 @@ TEST(ServerBehavior, SyncAbsenceToleranceKeepsFreshClients) {
   }
 }
 
+class ChurnNeverStreamsTwice : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ChurnNeverStreamsTwice, FromTheSameOpenRequest) {
+  // Every member of the movie group holds the same client table at the same
+  // message, so exactly one server opens each session and no client is
+  // ever streamed twice. Clients stop and re-watch in a loop; the checks
+  // run every 100 ms.
+  constexpr int kServers = 3;
+  constexpr int kClients = 12;
+  VodTestBed bed(kServers, kClients, net::lan_quality(), GetParam());
+  double next_toggle[kClients];
+  for (int c = 0; c < kClients; ++c) next_toggle[c] = 0.3 * c;
+  std::uint64_t watches = 0;
+  for (int tick = 0; tick < 400; ++tick) {
+    const double now = tick * 0.1;
+    for (int c = 0; c < kClients; ++c) {
+      if (now < next_toggle[c]) continue;
+      if (bed.client(c).watching()) {
+        bed.client(c).stop();
+        next_toggle[c] = now + 0.1 + 0.1 * (c % 3);
+      } else {
+        bed.client(c).watch(bed.movie()->name());
+        ++watches;
+        next_toggle[c] = now + 1.0 + 0.4 * (c % 5);
+      }
+    }
+    bed.run_for(0.1);
+    std::uint64_t opened = 0;
+    for (int s = 0; s < kServers; ++s) {
+      opened += bed.server(s).stats().sessions_opened;
+    }
+    ASSERT_LE(opened, watches) << "at t=" << now;
+    for (int c = 0; c < kClients; ++c) {
+      int serving = 0;
+      for (int s = 0; s < kServers; ++s) {
+        if (bed.server(s).serves(bed.client(c).client_id())) ++serving;
+      }
+      ASSERT_LE(serving, 1) << "client " << c << " at t=" << now;
+    }
+  }
+  bed.run_for(2.0);  // the last opens are answered
+  std::uint64_t opened = 0;
+  for (int s = 0; s < kServers; ++s) {
+    opened += bed.server(s).stats().sessions_opened;
+  }
+  EXPECT_EQ(opened, watches);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChurnNeverStreamsTwice,
+                         ::testing::Range(0u, 8u));
+
 // ---------------------------------------------------------- repair rules
 //
-// Each server's client table carries three repair rules for tables that
-// diverged (server.hpp, VodServer::Client). The tests below put exactly the
-// claims a rule reacts to into one real server's table through a scripted
-// movie-group member.
+// Two repair rules remain in each server's client table (server.hpp,
+// VodServer::Client): a second ask rescues the client, and two absent
+// syncs forget a claim. Every member applies them alike. The tests below
+// put exactly the claims a rule reacts to into one real server's table
+// through a scripted movie-group member.
 
 constexpr const char* kRepairMovie = "feature";
 
@@ -213,11 +392,10 @@ util::Bytes claim_sync(std::uint64_t exchange_tag,
 /// A movie-group member that is not a server: it joins the movie group on
 /// its own daemon and multicasts only the periodic syncs a test scripts. It
 /// answers every table exchange with its current claims, so each of the real
-/// server's re-distributions is authoritative.
+/// server's rounds completes.
 class ScriptedPeer {
  public:
-  ScriptedPeer(gcs::Daemon& daemon, std::vector<std::uint64_t> claims)
-      : claims_(std::move(claims)) {
+  explicit ScriptedPeer(gcs::Daemon& daemon) {
     member_ = daemon.join(
         movie_group_name(kRepairMovie),
         gcs::GroupCallbacks{
@@ -226,9 +404,9 @@ class ScriptedPeer {
               if (!member_ || from == member_->endpoint()) return;
               const auto sync = wire::decode_state_sync(d);
               if (sync && sync->exchange_tag != 0 &&
-                  sync->exchange_tag != answered_) {
-                answered_ = sync->exchange_tag;
-                member_->send(claim_sync(answered_, claims_));
+                  sync->exchange_tag != round_) {
+                round_ = sync->exchange_tag;
+                if (answering_) table(round_, claims_);
               }
             },
             nullptr});
@@ -240,10 +418,20 @@ class ScriptedPeer {
     member_->send(claim_sync(0, claims_));
   }
 
+  /// From now on, rounds are answered only by hand, with table().
+  void hold_answers() { answering_ = false; }
+  /// Multicasts a round table tagged `tag` that claims exactly `clients`.
+  void table(std::uint64_t tag, const std::vector<std::uint64_t>& clients) {
+    member_->send(claim_sync(tag, clients));
+  }
+  /// The tag of the last round the server's table announced.
+  [[nodiscard]] std::uint64_t round() const { return round_; }
+
  private:
   std::unique_ptr<gcs::GroupMember> member_;
   std::vector<std::uint64_t> claims_;
-  std::uint64_t answered_ = 0;
+  std::uint64_t round_ = 0;
+  bool answering_ = true;
 };
 
 /// One server, one scripted peer, two clients, and an outsider: a daemon
@@ -270,25 +458,19 @@ class RepairBed {
     run_for(2.0);
   }
 
-  /// Joins the scripted peer, claiming `claims`, to the movie group and lets
+  /// Joins the scripted peer, claiming nothing, to the movie group and lets
   /// the resulting table exchange finish.
-  ScriptedPeer& join_peer(std::vector<std::uint64_t> claims = {}) {
-    peer_ = std::make_unique<ScriptedPeer>(*peer_daemon_, std::move(claims));
+  ScriptedPeer& join_peer() {
+    peer_ = std::make_unique<ScriptedPeer>(*peer_daemon_);
     run_for(1.0);
     return *peer_;
   }
-  /// A second, silent member on the peer's daemon: joining or dropping it
-  /// changes the movie-group view (and so runs a re-distribution) without
-  /// changing the set of server nodes.
-  void toggle_extra_member() {
-    if (extra_) {
-      extra_.reset();
-    } else {
-      extra_ = peer_daemon_->join(movie_group_name(kRepairMovie), {});
-    }
+  /// A second, silent member on the peer's daemon: its join changes the
+  /// movie-group view, and so starts a round, without a new server node.
+  void add_extra_member() {
+    extra_ = peer_daemon_->join(movie_group_name(kRepairMovie), {});
     run_for(1.0);
   }
-
   /// A periodic sync from the outsider, sent into the movie group.
   void outsider_sync(const std::vector<std::uint64_t>& clients) {
     outsider_daemon_->send_to_group(movie_group_name(kRepairMovie),
@@ -298,11 +480,6 @@ class RepairBed {
   VodServer& server() { return *server_; }
   VodClient& client(int i) { return *clients_[i]; }
   std::uint64_t id(int i) { return clients_[i]->client_id(); }
-  /// Whether the server's last re-distribution ran on a claim for `client`.
-  bool last_rebalance_knew(std::uint64_t client) {
-    const RebalanceSnapshot* snap = server_->rebalance_snapshot(kRepairMovie);
-    return snap != nullptr && snap->input_owners.contains(client);
-  }
   void run_for(double seconds) { dep_.run_for(sim::sec(seconds)); }
 
  private:
@@ -316,29 +493,6 @@ class RepairBed {
 };
 
 constexpr std::uint64_t kPhantom = 0xF00D;  // a client no host runs
-
-TEST(ServerRepair, YieldsToALowerIdClaimantOnTheThirdConflictingSync) {
-  RepairBed bed(/*peer_below_server=*/true);
-  bed.client(0).watch(kRepairMovie);
-  bed.run_for(2.0);
-  ASSERT_TRUE(bed.server().serves(bed.id(0)));
-  // The peer's table answer claims a client of its own, so the balanced
-  // re-distribution leaves client 0 where it is.
-  ScriptedPeer& peer = bed.join_peer({kPhantom});
-  ASSERT_TRUE(bed.server().serves(bed.id(0)));
-  ASSERT_EQ(bed.server().stats().migrations_out, 0u);
-
-  // Now the lower-id peer claims the client the server is streaming to.
-  for (int sync = 1; sync <= 2; ++sync) {
-    peer.sync({kPhantom, bed.id(0)});
-    bed.run_for(0.3);
-    EXPECT_TRUE(bed.server().serves(bed.id(0))) << "after sync " << sync;
-  }
-  peer.sync({kPhantom, bed.id(0)});
-  bed.run_for(0.3);
-  EXPECT_FALSE(bed.server().serves(bed.id(0)));
-  EXPECT_EQ(bed.server().stats().migrations_out, 1u);
-}
 
 TEST(ServerRepair, SecondAskIsServedByTheLowestIdMember) {
   RepairBed bed(/*peer_below_server=*/false);
@@ -357,23 +511,88 @@ TEST(ServerRepair, SecondAskIsServedByTheLowestIdMember) {
 }
 
 TEST(ServerRepair, ForgetsAClaimAfterTwoAbsentSyncs) {
+  // The peer, below the server, claims a phantom and then leaves it out of
+  // its syncs. A held claim loads the peer, so a new client goes to the
+  // idle server; a forgotten one leaves both idle, and the tie goes to the
+  // lowest id, the peer.
+  for (const int absences : {1, 2}) {
+    RepairBed bed(/*peer_below_server=*/true);
+    ScriptedPeer& peer = bed.join_peer();
+    peer.sync({kPhantom});
+    for (int i = 0; i < absences; ++i) {
+      bed.run_for(0.3);
+      peer.sync({});
+    }
+    bed.run_for(0.3);
+    bed.client(0).watch(kRepairMovie);
+    bed.run_for(0.3);
+    EXPECT_EQ(bed.server().serves(bed.id(0)), absences == 1)
+        << absences << " absent syncs";
+  }
+}
+
+TEST(ServerRepair, KeepsItsOwnStoppedClientForTwoSyncs) {
+  // The server applies its own syncs as a peer's: a client that stopped
+  // stays in its table, as load, until two of its syncs left it out.
+  RepairBed bed(/*peer_below_server=*/false);
+  bed.join_peer();
+  bed.client(1).watch(kRepairMovie);
+  bed.run_for(1.5);
+  ASSERT_TRUE(bed.server().serves(bed.id(1)));
+  bed.client(1).stop();
+  bed.run_for(0.1);
+  ASSERT_FALSE(bed.server().serves(bed.id(1)));
+  // The stopped client still loads the server, so the idle peer is chosen
+  // (and stays silent) ...
+  bed.client(0).watch(kRepairMovie);
+  bed.run_for(0.3);
+  EXPECT_FALSE(bed.server().serves(bed.id(0)));
+  // ... until the retry is rescued by the lowest id, the server.
+  bed.run_for(1.5);
+  EXPECT_TRUE(bed.server().serves(bed.id(0)));
+}
+
+TEST(ServerRepair, AViewChangeRestartsTheAskCount) {
+  // A member new to the view has no ask counts, so every member restarts
+  // them at a view change: an ask before the change and one after it are
+  // two first asks, and only the next one is rescued. kStable leaves the
+  // peer's claim with the peer at the round (kSpread would move it).
   VodParams params;
-  // kStable keeps the peer's phantom with the peer at each re-distribution
-  // (kSpread would hand it to the idle server).
   params.rebalance_policy = RebalancePolicy::kStable;
   RepairBed bed(/*peer_below_server=*/false, params);
   ScriptedPeer& peer = bed.join_peer();
-  peer.sync({kPhantom});
+  peer.sync({bed.id(0)});  // the silent peer claims client 0
   bed.run_for(0.3);
-  peer.sync({});  // first absence: a sync may predate a hand-off
+  bed.client(0).watch(kRepairMovie);
+  bed.run_for(0.1);        // first ask: the peer owns it
+  bed.add_extra_member();  // a round; the retry lands 1-1.25 s after the ask
+  bed.run_for(0.5);
+  EXPECT_FALSE(bed.server().serves(bed.id(0)));
+  bed.run_for(3.0);  // the next retry is the second ask since the change
+  EXPECT_TRUE(bed.server().serves(bed.id(0)));
+}
+
+TEST(ServerRepair, IgnoresATableOfASupersededRound) {
+  // A table tagged for an earlier round would re-claim clients that the
+  // round's successor has since moved. The server ignores it and keeps
+  // waiting for the peer's table of the current round.
+  RepairBed bed(/*peer_below_server=*/false);
+  ScriptedPeer& peer = bed.join_peer();
+  const std::uint64_t old_round = peer.round();
+  peer.hold_answers();
+  bed.add_extra_member();
+  ASSERT_NE(peer.round(), old_round);
+  ASSERT_TRUE(bed.server().rebalance_pending(kRepairMovie));
+  peer.table(old_round, {kPhantom});
   bed.run_for(0.3);
-  bed.toggle_extra_member();
-  EXPECT_TRUE(bed.last_rebalance_knew(kPhantom));
-  peer.sync({});  // second absence: the claim is gone
+  EXPECT_TRUE(bed.server().rebalance_pending(kRepairMovie));
+  peer.table(peer.round(), {});
   bed.run_for(0.3);
-  bed.toggle_extra_member();
-  EXPECT_FALSE(bed.last_rebalance_knew(kPhantom));
-  EXPECT_FALSE(bed.server().serves(kPhantom));
+  EXPECT_FALSE(bed.server().rebalance_pending(kRepairMovie));
+  const RebalanceSnapshot* snap = bed.server().rebalance_snapshot(kRepairMovie);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->exchange_tag, peer.round());
+  EXPECT_FALSE(snap->input_owners.contains(kPhantom));
 }
 
 TEST(ServerRepair, ClaimsByANodeOutsideTheViewAreNoLoad) {

@@ -58,12 +58,16 @@ TEST(VodWire, StateSyncRoundTrip) {
       {1, {2, 9100}, 555, 31.0, 0.0, 0.0, false},
       {2, {3, 9100}, 777, 29.0, 15.0, 15.0, true},
   };
+  m.orphans = {{{3, {4, 9100}, 888, 30.0, 0.0, 0.0, false}, 17}};
   auto d = decode_state_sync(encode(m));
   ASSERT_TRUE(d.has_value());
   ASSERT_EQ(d->clients.size(), 2u);
   EXPECT_EQ(d->clients[0].next_frame, 555u);
   EXPECT_DOUBLE_EQ(d->clients[1].quality_fps, 15.0);
   EXPECT_TRUE(d->clients[1].paused);
+  ASSERT_EQ(d->orphans.size(), 1u);
+  EXPECT_EQ(d->orphans[0].rec.next_frame, 888u);
+  EXPECT_EQ(d->orphans[0].owner, 17u);
 }
 
 TEST(VodWire, EmptyStateSync) {
