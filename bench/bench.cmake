@@ -27,12 +27,11 @@ ftvod_bench(micro_gcs micro_gcs.cpp)
 target_link_libraries(micro_gcs PRIVATE benchmark::benchmark)
 ftvod_bench(ablation_congestion ablation_congestion.cpp)
 ftvod_bench(tab_scalability tab_scalability.cpp)
-ftvod_bench(perf_core perf_core.cpp)
 ftvod_bench(city_scale city_scale.cpp)
 target_link_libraries(city_scale PRIVATE ftvod_testing ftvod_workload)
 
 # Tier-1 smoke: every harness binary must run to completion at miniature
-# scale (FTVOD_BENCH_SMOKE=1) and perf_core must emit parseable JSON.
+# scale (FTVOD_BENCH_SMOKE=1) and exit 0.
 add_test(NAME bench_smoke
   COMMAND ${CMAKE_COMMAND} -DBENCH_DIR=${CMAKE_BINARY_DIR}/bench
           -P ${CMAKE_SOURCE_DIR}/bench/smoke.cmake

@@ -1,29 +1,15 @@
 # Script behind the bench_smoke CTest target: runs every harness binary in
 # BENCH_DIR at miniature scale (the caller sets FTVOD_BENCH_SMOKE=1 in the
-# environment) and fails if any exits nonzero. perf_core additionally must
-# produce its JSON report; the binary itself re-reads and parses the file,
-# exiting nonzero when the JSON is malformed.
+# environment) and fails if any exits nonzero.
 file(GLOB binaries ${BENCH_DIR}/*)
 foreach(bin ${binaries})
   get_filename_component(name ${bin} NAME)
   if(name MATCHES "\\.(json|csv|txt|dat)$")
     continue()  # output files from earlier manual runs
   endif()
-  if(name STREQUAL "perf_core")
-    set(report ${CMAKE_CURRENT_BINARY_DIR}/bench_smoke_core.json)
-    file(REMOVE ${report})
-    execute_process(COMMAND ${bin} ${report} RESULT_VARIABLE rc OUTPUT_QUIET)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "bench_smoke: perf_core failed (exit ${rc})")
-    endif()
-    if(NOT EXISTS ${report})
-      message(FATAL_ERROR "bench_smoke: perf_core wrote no JSON report")
-    endif()
-  else()
-    execute_process(COMMAND ${bin} RESULT_VARIABLE rc OUTPUT_QUIET)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "bench_smoke: ${name} failed (exit ${rc})")
-    endif()
+  execute_process(COMMAND ${bin} RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "bench_smoke: ${name} failed (exit ${rc})")
   endif()
   message(STATUS "bench_smoke: ${name} ok")
 endforeach()

@@ -5,14 +5,6 @@
 
 namespace ftvod::sim {
 
-Scheduler::Scheduler() {
-  // Seed every bucket with a little capacity up front so staging an event
-  // in a never-touched bucket does not allocate mid-run; a loaded bucket
-  // grows past this once and then holds its high-water capacity, exactly
-  // like the heap and slab vectors.
-  for (std::vector<std::uint32_t>& bucket : wheel_) bucket.reserve(8);
-}
-
 std::uint32_t Scheduler::acquire_slot() {
   if (free_head_ != kNil) {
     const std::uint32_t idx = free_head_;
@@ -93,76 +85,10 @@ void Scheduler::cancel_slot(std::uint32_t index, std::uint32_t gen) {
   --live_;
 }
 
-void Scheduler::stage(std::uint32_t index) {
-  const Slot& s = slots_[index];
-  if (wheel_enabled_) {
-    if (wheel_total_ == 0) {
-      // Empty wheel: snap the cursor forward so the span starts at "now"
-      // instead of wherever the last drain left it.
-      const std::uint64_t here = static_cast<std::uint64_t>(now_) >> kWheelShift;
-      if (here > wheel_cursor_) wheel_cursor_ = here;
-    }
-    const std::uint64_t b = static_cast<std::uint64_t>(s.t) >> kWheelShift;
-    if (b >= wheel_cursor_ && b < wheel_cursor_ + kWheelBuckets) {
-      wheel_[b & (kWheelBuckets - 1)].push_back(index);
-      ++wheel_total_;
-      return;
-    }
-  }
-  // Past the cursor (fires this bucket) or beyond the span: straight to
-  // the heap. Far-future events never cascade — one move, ever.
-  heap_push(HeapEntry{s.t, s.seq, index});
-}
-
-void Scheduler::prepare_next() {
-  drop_cancelled();
-  // Heap top at time T is safe to run only once every bucket starting at or
-  // before T is drained: an undrained bucket b holds events with
-  // t >= bucket_start(b), so bucket_start(cursor) > T proves nothing staged
-  // can precede T. With an empty heap, keep draining until something lands.
-  while (wheel_total_ > 0 &&
-         (heap_.empty() || bucket_start(wheel_cursor_) <= heap_.front().t)) {
-    std::vector<std::uint32_t>& bucket =
-        wheel_[wheel_cursor_ & (kWheelBuckets - 1)];
-    ++wheel_cursor_;
-    if (bucket.empty()) continue;
-    for (const std::uint32_t idx : bucket) {
-      --wheel_total_;
-      if (slots_[idx].cancelled) {
-        release_slot(idx);
-      } else {
-        heap_push(HeapEntry{slots_[idx].t, slots_[idx].seq, idx});
-      }
-    }
-    bucket.clear();  // keeps capacity: steady state stays allocation-free
-    drop_cancelled();
-  }
-}
-
-void Scheduler::set_wheel_enabled(bool on) {
-  if (on == wheel_enabled_) return;
-  wheel_enabled_ = on;
-  if (on) return;
-  for (std::vector<std::uint32_t>& bucket : wheel_) {
-    for (const std::uint32_t idx : bucket) {
-      if (slots_[idx].cancelled) {
-        release_slot(idx);
-      } else {
-        heap_push(HeapEntry{slots_[idx].t, slots_[idx].seq, idx});
-      }
-    }
-    bucket.clear();
-  }
-  wheel_total_ = 0;
-}
-
 Scheduler::EventHandle Scheduler::at(Time t, Callback cb) {
   const std::uint32_t idx = acquire_slot();
-  Slot& s = slots_[idx];
-  s.cb = std::move(cb);
-  s.t = std::max(t, now_);
-  s.seq = next_seq_++;
-  stage(idx);
+  slots_[idx].cb = std::move(cb);
+  heap_push(HeapEntry{std::max(t, now_), next_seq_++, idx});
   ++live_;
   return EventHandle{this, idx, slots_[idx].generation};
 }
@@ -172,7 +98,7 @@ Scheduler::EventHandle Scheduler::after(Duration d, Callback cb) {
 }
 
 bool Scheduler::step() {
-  prepare_next();
+  drop_cancelled();
   if (heap_.empty()) return false;
   run_top();
   return true;
@@ -202,9 +128,8 @@ std::size_t Scheduler::run_until(Time t) {
   while (true) {
     // Tombstones must not gate the loop: a cancelled far-future event on
     // top of the heap neither blocks earlier live events nor drags the
-    // clock past t when step() skips it. prepare_next() also guarantees
-    // nothing staged in the wheel could still precede the heap top.
-    prepare_next();
+    // clock past t when step() skips it.
+    drop_cancelled();
     if (heap_.empty() || heap_.front().t > t) break;
     run_top();
     ++n;

@@ -26,9 +26,8 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
-RunResult run_scenario(std::uint64_t seed, bool wheel = true) {
+RunResult run_scenario(std::uint64_t seed) {
   Deployment dep(seed);
-  dep.scheduler().set_wheel_enabled(wheel);
   const net::NodeId s0 = dep.add_host("s0");
   const net::NodeId s1 = dep.add_host("s1");
   const net::NodeId c0 = dep.add_host("c0");
@@ -119,16 +118,6 @@ TEST(Determinism, SameSeedBitIdentical) {
   const RunResult a = run_scenario(12345);
   const RunResult b = run_scenario(12345);
   EXPECT_EQ(a, b);
-}
-
-TEST(Determinism, TimerWheelOnAndOffExecuteIdentically) {
-  // scheduler.hpp's claim: the wheel only stages events, and promotion
-  // restores the exact (time, seq) order, so a whole seeded deployment —
-  // crash and takeover included — runs the same events either way.
-  const RunResult on = run_scenario(12345, /*wheel=*/true);
-  const RunResult off = run_scenario(12345, /*wheel=*/false);
-  EXPECT_EQ(on.events, off.events);
-  EXPECT_EQ(on, off);
 }
 
 TEST(Determinism, SameSeedBitIdenticalWan) {

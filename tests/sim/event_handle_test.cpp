@@ -81,8 +81,9 @@ TEST(EventHandle, HandleOutlivingSchedulerUseIsSafeToQuery) {
   Scheduler s;
   auto h = s.at(5, [] {});
   s.run();
-  // The event's control block is shared; querying long after the queue
-  // drained keeps working.
+  // The handle is a {slot, generation} pair: firing released the slot and
+  // bumped its generation, so querying or cancelling long after the queue
+  // drained reads "not pending" and changes nothing.
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(h.pending());
     h.cancel();

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace ftvod::sim {
 namespace {
@@ -133,6 +140,88 @@ TEST(Scheduler, CancelledEventsNotCounted) {
   s.at(2, [] {});
   h.cancel();
   EXPECT_EQ(s.run(), 1u);
+}
+
+// Randomized differential test against the definition of the order: events
+// run by (time, schedule sequence), so a std::set of (t, seq) pairs is the
+// reference queue. Times are drawn from a few µs around now(), so most
+// events tie with others and the seq tie-break decides their order. Events
+// are cancelled from outside and from inside callbacks (a callback may
+// cancel itself, already fired, or another event due at the same time),
+// callbacks schedule at now(), and the loop advances by random run_until()
+// horizons and single steps.
+TEST(Scheduler, MatchesReferenceOrderUnderTiesAndCancels) {
+  using Key = std::pair<Time, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    Scheduler s;
+    std::set<Key> reference;
+    struct Scheduled {
+      Scheduler::EventHandle handle;
+      Key key;
+    };
+    std::vector<Scheduled> scheduled;
+    std::vector<Key> executed;
+    std::vector<Key> expected;
+    constexpr std::size_t kBudget = 4000;
+
+    std::function<void()> schedule_one;
+    // Picks among the 16 most recently scheduled events, most of them
+    // still pending, some already run or cancelled.
+    auto cancel_one = [&] {
+      if (scheduled.empty()) return;
+      const auto n = static_cast<std::int64_t>(scheduled.size());
+      const Scheduled& e = scheduled[static_cast<std::size_t>(
+          rng.uniform_int(std::max<std::int64_t>(n - 16, 0), n - 1))];
+      EXPECT_EQ(e.handle.pending(), reference.count(e.key) == 1);
+      Scheduler::EventHandle h = e.handle;
+      h.cancel();
+      reference.erase(e.key);
+    };
+    schedule_one = [&] {
+      if (scheduled.size() >= kBudget) return;
+      // Offsets of -2..3 µs: a negative one is a time in the past and
+      // clamps to now(), so half the draws land in the running batch.
+      const Duration offset = rng.uniform_int(-2, 3);
+      const Key key{s.now() + std::max<Duration>(offset, 0), scheduled.size()};
+      auto cb = [&, key] {
+        ASSERT_FALSE(reference.empty());
+        executed.push_back({s.now(), key.second});
+        expected.push_back(*reference.begin());
+        reference.erase(reference.begin());
+        const std::int64_t spawn = rng.uniform_int(0, 9);
+        if (spawn < 3) schedule_one();
+        if (spawn < 1) schedule_one();
+        if (rng.bernoulli(0.2)) cancel_one();
+      };
+      const Scheduler::EventHandle h = rng.bernoulli(0.5)
+                                           ? s.at(s.now() + offset, cb)
+                                           : s.after(offset, cb);
+      reference.insert(key);
+      scheduled.push_back({h, key});
+    };
+
+    while (scheduled.size() < kBudget) {
+      for (std::int64_t n = rng.uniform_int(0, 4); n > 0; --n) schedule_one();
+      for (std::int64_t n = rng.uniform_int(0, 2); n > 0; --n) cancel_one();
+      if (rng.bernoulli(0.2)) {
+        s.step();
+      } else {
+        const Time horizon = s.now() + rng.uniform_int(0, 3);
+        s.run_until(horizon);
+        EXPECT_EQ(s.now(), horizon);
+        if (!reference.empty()) {
+          EXPECT_GT(reference.begin()->first, horizon);
+        }
+      }
+      ASSERT_EQ(s.pending_events(), reference.size());
+    }
+    s.run();
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(s.executed_events(), executed.size());
+    ASSERT_EQ(executed, expected);
+  }
 }
 
 }  // namespace
