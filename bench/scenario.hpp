@@ -72,7 +72,7 @@ inline ScenarioResult run_migration_scenario(const ScenarioOptions& opt) {
         rec.sample("skipped", t, static_cast<double>(c.skipped));
         rec.sample("late", t, static_cast<double>(c.late));
         rec.sample("overflow", t, static_cast<double>(c.overflow_discards));
-        if (const auto* b = client.buffers()) {
+        if (const auto b = client.buffers()) {
           rec.sample("sw_frames", t, static_cast<double>(b->sw_frames()));
           rec.sample("hw_bytes", t, static_cast<double>(b->hw_bytes()));
           rec.sample("occupancy", t, b->occupancy_fraction());

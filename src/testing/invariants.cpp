@@ -66,6 +66,12 @@ void InvariantMonitor::check_replication() {
   }
   const std::size_t required =
       std::min(opts_.replication_floor, healthy_servers);
+  // A title nobody watches owes no floor. Forget when it dipped, or its
+  // next viewer inherits a dip that ended long ago and trips the grace at
+  // once.
+  std::erase_if(under_replicated_since_, [&](const auto& entry) {
+    return !watched.contains(entry.first);
+  });
 
   for (const auto& [title, viewers] : watched) {
     std::size_t replicas = 0;
@@ -202,8 +208,8 @@ void InvariantMonitor::check_assignment_agreement() {
 
 void InvariantMonitor::check_buffers() {
   for (auto& cn : dep_->clients()) {
-    const vod::ClientBuffers* buf = cn->client->buffers();
-    if (buf == nullptr) continue;
+    const auto buf = cn->client->buffers();
+    if (!buf) continue;
     if (buf->sw_frames() > buf->sw_capacity()) {
       std::ostringstream os;
       os << "client " << cn->client->client_id() << " software buffer over "

@@ -1,6 +1,8 @@
 #include "vod/client.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 
 #include "util/log.hpp"
 
@@ -8,6 +10,7 @@ namespace ftvod::vod {
 
 namespace {
 constexpr std::string_view kLog = "vod.client";
+constexpr sim::Time kNever = std::numeric_limits<sim::Time>::max();
 
 std::uint64_t make_client_id(net::NodeId node) {
   static std::uint64_t counter = 0;
@@ -26,7 +29,7 @@ VodClient::VodClient(sim::Scheduler& sched, net::Network& net,
       node_(data_node),
       client_id_(make_client_id(data_node)),
       flow_(params),
-      display_timer_(sched, sim::msec(33), [this] { display_tick(); }),
+      deadline_timer_(sched),
       watchdog_timer_(sched, params.watchdog_period,
                       [this] { watchdog_tick(); }),
       open_retry_timer_(sched) {
@@ -36,15 +39,17 @@ VodClient::VodClient(sim::Scheduler& sched, net::Network& net,
                               on_datagram(from, d);
                             });
   net_->on_crash(node_, [this] {
+    advance_to(sched_->now());
     halted_ = true;
-    display_timer_.stop();
+    stop_display();
     watchdog_timer_.stop();
     open_retry_timer_.cancel();
   });
 }
 
-const BufferCounters& VodClient::counters() const {
-  return buffers_ ? buffers_->counters() : empty_counters_;
+std::optional<ClientBuffers::View> VodClient::buffers() const {
+  if (!buffers_) return std::nullopt;
+  return buffers_->view_after(ticks_due(sched_->now()));
 }
 
 double VodClient::low_water_frames() const {
@@ -61,6 +66,7 @@ double VodClient::high_water_frames() const {
 
 void VodClient::watch(const std::string& movie, double capability_fps) {
   if (halted_) return;
+  advance_to(sched_->now());
   // watch() starts a fresh viewing session. Clear every remnant of a
   // previous one first: a stop()ed session leaves the old movie's buffers
   // and display position behind, and the reconnect logic in
@@ -71,7 +77,7 @@ void VodClient::watch(const std::string& movie, double capability_fps) {
     session_member_->leave();
     session_member_.reset();
   }
-  display_timer_.stop();
+  stop_display();
   open_retry_timer_.cancel();
   open_retry_delay_ = 0;
   buffers_.reset();
@@ -136,6 +142,7 @@ void VodClient::on_session_message(const gcs::GcsEndpoint& from,
   }
   if (connected_) return;  // duplicate reply to a retried open
 
+  advance_to(sched_->now());
   connected_ = true;
   open_retry_timer_.cancel();
   open_retry_delay_ = 0;  // the next outage backs off from the base again
@@ -151,11 +158,13 @@ void VodClient::on_session_message(const gcs::GcsEndpoint& from,
   update_display_rate();
   util::log_info(kLog, "client ", client_id_, " connected for '", movie_,
                  "' (", reply->fps, " fps, ", reply->frame_count, " frames)");
-  if (buffers_ && buffers_->last_displayed() >= 0 && !at_end()) {
+  const std::int64_t shown = buffers_->cursor().last_displayed;
+  if (shown >= 0 && !is_end(shown)) {
     // Reconnect mid-movie: the responding server may have (re)opened the
     // session at an arbitrary offset. Align it with our actual position.
-    seek(static_cast<std::uint64_t>(buffers_->last_displayed()) + 1);
+    do_seek(static_cast<std::uint64_t>(shown) + 1);
   }
+  schedule_deadline();
 }
 
 void VodClient::on_datagram(const net::Endpoint& from,
@@ -182,32 +191,42 @@ void VodClient::on_datagram(const net::Endpoint& from,
 }
 
 void VodClient::on_frame(const wire::Frame& f) {
-  last_frame_at_ = sched_->now();
-  buffers_->insert(mpeg::FrameInfo{f.frame_index, f.type, f.size_bytes});
+  const sim::Time now = sched_->now();
+  advance_to(now);
+  last_frame_at_ = now;
+  // An arrival can only move every check later, so it leaves the deadline
+  // timer alone. The exception is an overflow eviction: the decoder may
+  // then drain the software stage sooner.
+  const bool evicted =
+      buffers_->insert(mpeg::FrameInfo{f.frame_index, f.type, f.size_bytes});
+  const ClientBuffers::View b = buffers_->view();
 
   // Start the display loop once the decoder has a little material.
   if (!playing_ &&
-      buffers_->hw_frames() >=
+      b.hw_frames() >=
           static_cast<std::size_t>(params_.display_prefill_frames)) {
     playing_ = true;
     if (!paused_) start_display();
   }
 
-  if (const auto action = flow_.on_frame_received(
-          buffers_->occupancy_fraction(), buffers_->sw_occupancy_fraction())) {
-    send_flow(*action);
+  if (const auto action = flow_.on_frame_received(b.occupancy_fraction(),
+                                                  b.sw_occupancy_fraction())) {
+    send_flow(*action, now);
   }
+  if (evicted) schedule_deadline();
 }
 
-void VodClient::send_flow(FlowAction action) {
+void VodClient::send_flow(FlowAction action, sim::Time t) {
   if (!session_member_ || !connected_) return;
   switch (action) {
     case FlowAction::kIncrease:
       ++control_stats_.increases_sent;
+      util::log_debug(kLog, "client ", client_id_, " asks +1 fps");
       session_member_->send(wire::encode(wire::Flow{client_id_, +1}));
       break;
     case FlowAction::kDecrease:
       ++control_stats_.decreases_sent;
+      util::log_debug(kLog, "client ", client_id_, " asks -1 fps");
       session_member_->send(wire::encode(wire::Flow{client_id_, -1}));
       break;
     case FlowAction::kEmergencyTier1:
@@ -217,13 +236,15 @@ void VodClient::send_flow(FlowAction action) {
       // Rate-limit same-severity emergencies (the server ignores them while
       // a burst is active anyway), but let an escalation through at once.
       if (tier >= last_emergency_tier_ &&
-          sched_->now() - last_emergency_at_ <
-              params_.emergency_resend_interval) {
+          t - last_emergency_at_ < params_.emergency_resend_interval) {
         return;
       }
-      last_emergency_at_ = sched_->now();
+      assert(t == sched_->now() && "an emergency fell due before now");
+      last_emergency_at_ = t;
       last_emergency_tier_ = tier;
       ++control_stats_.emergencies_sent;
+      util::log_debug(kLog, "client ", client_id_, " raises a tier ",
+                      static_cast<int>(tier), " emergency");
       session_member_->send(wire::encode(wire::Emergency{client_id_, tier}));
       break;
     }
@@ -232,20 +253,21 @@ void VodClient::send_flow(FlowAction action) {
 
 void VodClient::watchdog_tick() {
   if (halted_ || !connected_ || paused_ || !buffers_) return;
-  check_stream();
+  check_stream(sched_->now());
 }
 
-void VodClient::check_stream() {
+void VodClient::check_stream(sim::Time t) {
+  const std::int64_t shown = buffers_->cursor().last_displayed;
   // Session-loss recovery: if nothing has arrived for much longer than any
   // takeover needs (e.g. this client was partitioned away long enough for
   // the servers to declare it failed and tear the session down), go back
   // to the server group and ask again.
-  if (!at_end() &&
-      sched_->now() - last_frame_at_ > params_.reconnect_timeout) {
+  if (!is_end(shown) && t - last_frame_at_ > params_.reconnect_timeout) {
+    assert(t == sched_->now() && "the reconnect deadline fell due before now");
     util::log_info(kLog, "client ", client_id_,
                    " lost its stream; re-requesting '", movie_, "'");
     connected_ = false;
-    last_frame_at_ = sched_->now();
+    last_frame_at_ = t;
     send_open_request();
     return;
   }
@@ -257,25 +279,25 @@ void VodClient::check_stream() {
   // with a seek to our true position; if repeated resyncs go unheard (no
   // live server in the session group), fall back to a full re-open.
   if (playing_) {
-    const std::int64_t shown = buffers_->last_displayed();
     if (shown != last_progress_frame_) {
       last_progress_frame_ = shown;
-      last_progress_at_ = sched_->now();
+      last_progress_at_ = t;
       resync_attempts_ = 0;
-    } else if (!at_end() &&
-               sched_->now() - last_progress_at_ > params_.reconnect_timeout) {
-      last_progress_at_ = sched_->now();
+    } else if (!is_end(shown) &&
+               t - last_progress_at_ > params_.reconnect_timeout) {
+      assert(t == sched_->now() && "a resync fell due before now");
+      last_progress_at_ = t;
       if (++resync_attempts_ <= 2) {
         util::log_info(kLog, "client ", client_id_,
                        " sees no display progress; resyncing at frame ",
                        shown + 1);
-        seek(static_cast<std::uint64_t>(shown + 1));
+        do_seek(static_cast<std::uint64_t>(shown + 1));
       } else {
         util::log_info(kLog, "client ", client_id_,
                        " resyncs went unheard; re-requesting '", movie_, "'");
         resync_attempts_ = 0;
         connected_ = false;
-        last_frame_at_ = sched_->now();
+        last_frame_at_ = t;
         send_open_request();
       }
       return;
@@ -283,40 +305,114 @@ void VodClient::check_stream() {
   }
   // Emergencies must fire even when no frames arrive (migration outages,
   // startup, post-seek refills) — the receive path alone cannot see them.
-  const double sw = buffers_->sw_occupancy_fraction();
+  const double sw = buffers_->view().sw_occupancy_fraction();
   if (sw < params_.emergency_tier1_frac) {
-    send_flow(FlowAction::kEmergencyTier1);
+    send_flow(FlowAction::kEmergencyTier1, t);
   } else if (sw < params_.emergency_tier2_frac) {
-    send_flow(FlowAction::kEmergencyTier2);
+    send_flow(FlowAction::kEmergencyTier2, t);
   }
 }
 
-void VodClient::display_tick() {
-  if (halted_ || paused_ || !buffers_) return;
-  (void)buffers_->consume();
-  // The display clock carries the watchdog while it runs: occupancy only
-  // falls here (and in a seek's flush), so the checks lose nothing by
-  // running at the display rate instead of on a clock of their own.
-  if (connected_) check_stream();
+void VodClient::advance_to(sim::Time now) {
+  // The display carries the watchdog while it runs: occupancy only falls
+  // in a tick (and in a seek's flush), so the checks lose nothing by
+  // running at the display rate instead of on a clock of their own. A tick
+  // due at `now` itself counts as run before the caller's event.
+  while (display_running_ && next_tick_ <= now) {
+    const sim::Time t = next_tick_;
+    next_tick_ += period_;
+    (void)buffers_->consume();
+    if (connected_) check_stream(t);
+  }
+}
+
+sim::Time VodClient::next_check_deadline() const {
+  // Tick k = 1, 2, ... from now falls at next_tick_ + (k - 1) * period_.
+  const auto tick = [this](std::uint64_t k) {
+    return next_tick_ + static_cast<sim::Duration>(k - 1) * period_;
+  };
+  const auto tick_after = [this](sim::Time x) {  // the first tick past x
+    if (x < next_tick_) return next_tick_;
+    return next_tick_ + ((x - next_tick_) / period_ + 1) * period_;
+  };
+  const ClientBuffers::View b = buffers_->view();
+  sim::Time at = kNever;
+  // At the end of the movie the stream checks stand down for good.
+  if (!is_end(b.last_displayed())) {
+    at = tick_after(last_frame_at_ + params_.reconnect_timeout);
+    // Progress is noted at each tick that shows a frame, and every
+    // buffered frame is shown, one per tick, before the decoder starves.
+    sim::Time progress_at = last_progress_at_;
+    if (b.total_frames() > 0) {
+      progress_at = tick(b.total_frames());
+    } else if (b.last_displayed() != last_progress_frame_) {
+      progress_at = tick(1);
+    }
+    at = std::min(at, tick_after(progress_at + params_.reconnect_timeout));
+  }
+  // Emergencies: tier 1 from the tick the software stage falls below its
+  // threshold, tier 2 between its own crossing and that one. Each is held
+  // back until the resend interval passes when the last one sent was of
+  // the same or a more severe tier.
+  const sim::Time resend = tick_after(
+      last_emergency_at_ + params_.emergency_resend_interval - 1);
+  const auto first_sent = [&](std::uint8_t tier, sim::Time from) {
+    return tier >= last_emergency_tier_ ? std::max(from, resend) : from;
+  };
+  const auto [below1, below2] = buffers_->ticks_until_sw_below(
+      {params_.emergency_tier1_frac, params_.emergency_tier2_frac});
+  const sim::Time t1 = below1 ? tick(*below1) : kNever;
+  if (below1) at = std::min(at, first_sent(1, t1));
+  if (below2) {
+    if (const sim::Time t2 = first_sent(2, tick(*below2)); t2 < t1) {
+      at = std::min(at, t2);
+    }
+  }
+  return at;
+}
+
+void VodClient::schedule_deadline() {
+  if (!display_running_ || !connected_) return;
+  const sim::Time at = next_check_deadline();
+  if (at == kNever || (deadline_timer_.pending() && deadline_at_ <= at)) {
+    return;
+  }
+  deadline_at_ = at;
+  deadline_timer_.arm(at - sched_->now(), [this] { on_deadline(); });
+}
+
+void VodClient::on_deadline() {
+  ++control_stats_.deadline_wakeups;
+  advance_to(sched_->now());
+  schedule_deadline();
 }
 
 void VodClient::start_display() {
-  display_timer_.start();
+  display_running_ = true;
+  next_tick_ = sched_->now() + period_;
   watchdog_timer_.stop();
+  schedule_deadline();
+}
+
+void VodClient::stop_display() {
+  display_running_ = false;
+  deadline_timer_.cancel();
 }
 
 // ------------------------------------------------------------- VCR control
 
 void VodClient::pause() {
   if (!session_member_) return;
+  advance_to(sched_->now());
   paused_ = true;
-  display_timer_.stop();
+  stop_display();
   session_member_->send(
       wire::encode(wire::Vcr{client_id_, wire::VcrOp::kPause, 0}));
 }
 
 void VodClient::resume() {
   if (!session_member_) return;
+  advance_to(sched_->now());
   paused_ = false;
   if (playing_) start_display();
   session_member_->send(
@@ -325,6 +421,12 @@ void VodClient::resume() {
 
 void VodClient::seek(std::uint64_t frame) {
   if (!session_member_) return;
+  advance_to(sched_->now());
+  do_seek(frame);
+  schedule_deadline();
+}
+
+void VodClient::do_seek(std::uint64_t frame) {
   session_member_->send(
       wire::encode(wire::Vcr{client_id_, wire::VcrOp::kSeek, frame}));
   if (buffers_) buffers_->flush_to(frame);
@@ -334,10 +436,12 @@ void VodClient::seek(std::uint64_t frame) {
 
 void VodClient::set_quality(double fps) {
   if (!session_member_) return;
+  advance_to(sched_->now());
   capability_fps_ = fps;
   update_display_rate();
   session_member_->send(
       wire::encode(wire::SetQuality{client_id_, fps}));
+  schedule_deadline();
 }
 
 void VodClient::update_display_rate() {
@@ -348,16 +452,18 @@ void VodClient::update_display_rate() {
   const double display_fps =
       capability_fps_ > 0.0 ? std::min(capability_fps_, movie_fps_)
                             : movie_fps_;
-  display_timer_.set_period(static_cast<sim::Duration>(1e6 / display_fps));
+  // Like a periodic timer's period, the new one applies after the next tick.
+  period_ = static_cast<sim::Duration>(1e6 / display_fps);
 }
 
 void VodClient::stop() {
   if (!session_member_) return;
+  advance_to(sched_->now());
   session_member_->send(
       wire::encode(wire::Vcr{client_id_, wire::VcrOp::kStop, 0}));
   session_member_->leave();
   session_member_.reset();
-  display_timer_.stop();
+  stop_display();
   watchdog_timer_.stop();
   open_retry_timer_.cancel();
   open_retry_delay_ = 0;

@@ -5,8 +5,19 @@
 //
 // The client runs the Figure-2 flow-control policy on every received frame,
 // a watchdog that raises emergencies even when nothing arrives (outages),
-// and a display loop consuming one frame per period from the decoder model.
-// A playing client has one clock: the display tick runs the watchdog.
+// and a display that consumes one frame per period from the decoder model.
+//
+// A display tick is not an event. Every tick's work is a function of time
+// between two arrivals, so advance_to() runs the ticks due so far, each at
+// its own tick time, before anything changes the client: an arrival, an
+// OpenReply, a VCR operation or a deadline. The watchdog checks run in
+// each of those ticks. A playing client owns one scheduler event, a
+// deadline timer armed at the first tick at which a check would act if no
+// frame arrived: the reconnect deadline, the display-progress resync or an
+// emergency threshold crossing. Arrivals only push that tick later, so they
+// never touch the timer; a firing whose check finds nothing to do re-arms.
+// Readers outside the client see the ticks due by now through const
+// projections: counters(), at_end(), occupancy_fraction() and buffers().
 #pragma once
 
 #include <memory>
@@ -29,6 +40,8 @@ struct ClientControlStats {
   std::uint64_t emergencies_sent = 0;
   std::uint64_t session_views = 0;  // membership changes observed
   std::uint64_t open_retries = 0;
+  /// Firings of the deadline timer, the one event a playing client owns.
+  std::uint64_t deadline_wakeups = 0;
   /// Datagrams/messages this client rejected: integrity-check failures on
   /// the data socket (also counted in SocketStats::corrupt_dropped) plus
   /// decoder refusals and client-id mismatches on either channel.
@@ -76,24 +89,27 @@ class VodClient {
   [[nodiscard]] const std::string& movie() const { return movie_; }
   /// True once the display has reached the last frame of the movie.
   [[nodiscard]] bool at_end() const {
-    return movie_frames_ > 0 && buffers_ &&
-           buffers_->last_displayed() + 1 >=
-               static_cast<std::int64_t>(movie_frames_);
+    const auto b = buffers();
+    return b && is_end(b->last_displayed());
   }
-  [[nodiscard]] const ClientBuffers* buffers() const {
-    return buffers_ ? &*buffers_ : nullptr;
+  /// The buffers as the display leaves them now (every tick due by the
+  /// scheduler's clock consumed); nullopt before the first OpenReply.
+  [[nodiscard]] std::optional<ClientBuffers::View> buffers() const;
+  [[nodiscard]] BufferCounters counters() const {
+    const auto b = buffers();
+    return b ? b->counters() : BufferCounters{};
   }
-  [[nodiscard]] const BufferCounters& counters() const;
   [[nodiscard]] const ClientControlStats& control_stats() const {
     return control_stats_;
   }
   [[nodiscard]] double occupancy_fraction() const {
-    return buffers_ ? buffers_->occupancy_fraction() : 0.0;
+    const auto b = buffers();
+    return b ? b->occupancy_fraction() : 0.0;
   }
   [[nodiscard]] const VodParams& params() const { return params_; }
-  /// True while the stand-alone watchdog clock runs: before playback
-  /// starts. A running display clock carries the watchdog checks itself.
-  [[nodiscard]] bool watchdog_clock_running() const {
+  /// True while the 10 Hz prefill watchdog runs: from watch() until the
+  /// display starts. A playing client's checks run in its display ticks.
+  [[nodiscard]] bool prefill_watchdog_running() const {
     return watchdog_timer_.running();
   }
   [[nodiscard]] const net::SocketStats& data_socket_stats() const {
@@ -108,16 +124,37 @@ class VodClient {
   void on_session_message(const gcs::GcsEndpoint& from,
                           std::span<const std::byte> d);
   void on_frame(const wire::Frame& f);
-  void display_tick();
+  /// Runs every display tick due at or before `now`, in order, each at its
+  /// own tick time: consume one frame, then check_stream() if connected.
+  void advance_to(sim::Time now);
   void watchdog_tick();
-  /// The watchdog body: reconnect deadline, display-progress resync and
-  /// the emergency thresholds. Runs on the display clock while that runs,
-  /// and on the 10 Hz watchdog clock only before it starts (prefill).
-  void check_stream();
-  /// Starts the display clock, which takes the watchdog over.
+  /// The watchdog body at time `t`: reconnect deadline, display-progress
+  /// resync and the emergency thresholds. Runs in every display tick while
+  /// the display runs, and on the 10 Hz watchdog clock only before it
+  /// starts (prefill).
+  void check_stream(sim::Time t);
+  /// The earliest tick at which check_stream() would act if nothing
+  /// arrived; never later than the true one.
+  [[nodiscard]] sim::Time next_check_deadline() const;
+  /// Arms the deadline timer at next_check_deadline() unless it is already
+  /// armed at or before it (an early firing just re-arms).
+  void schedule_deadline();
+  void on_deadline();
+  /// Starts the display clock (first tick one period from now), which
+  /// takes the watchdog over.
   void start_display();
+  void stop_display();
+  [[nodiscard]] std::uint64_t ticks_due(sim::Time now) const {
+    if (!display_running_ || now < next_tick_) return 0;
+    return static_cast<std::uint64_t>((now - next_tick_) / period_) + 1;
+  }
+  [[nodiscard]] bool is_end(std::int64_t last_displayed) const {
+    return movie_frames_ > 0 &&
+           last_displayed + 1 >= static_cast<std::int64_t>(movie_frames_);
+  }
   void send_open_request();
-  void send_flow(FlowAction action);
+  void send_flow(FlowAction action, sim::Time t);
+  void do_seek(std::uint64_t frame);
   void update_display_rate();
 
   sim::Scheduler* sched_;
@@ -142,7 +179,13 @@ class VodClient {
   double movie_fps_ = 30.0;
   std::uint64_t movie_frames_ = 0;
 
-  sim::PeriodicTimer display_timer_;
+  /// The display clock: while it runs, ticks fall at next_tick_ +
+  /// k * period_. A period change applies after the next tick.
+  bool display_running_ = false;
+  sim::Time next_tick_ = 0;
+  sim::Duration period_ = sim::msec(33);
+  sim::OneShotTimer deadline_timer_;
+  sim::Time deadline_at_ = 0;  // when deadline_timer_ fires, if pending
   sim::PeriodicTimer watchdog_timer_;
   sim::OneShotTimer open_retry_timer_;
   /// Current open-retry backoff delay; 0 means "start over at the base
@@ -163,7 +206,6 @@ class VodClient {
   int resync_attempts_ = 0;
 
   ClientControlStats control_stats_;
-  BufferCounters empty_counters_;  // returned before connection
 };
 
 }  // namespace ftvod::vod

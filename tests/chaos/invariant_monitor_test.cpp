@@ -118,5 +118,49 @@ TEST(InvariantMonitor, CatchesUnrepairedStall) {
   EXPECT_TRUE(any_violation_contains(monitor, "stalled")) << monitor.report();
 }
 
+// Invariant 5 on a title held by one of two servers: with a floor of two
+// it is under-replicated whenever someone watches it.
+struct SoloTitleBed {
+  SoloTitleBed() : bed(/*n_servers=*/2, /*n_clients=*/1) {
+    bed.server(0).add_movie(mpeg::Movie::synthetic("solo", 120.0));
+    bed.run_for(1.0);
+  }
+  static InvariantOptions options() {
+    InvariantOptions opts;
+    opts.replication_floor = 2;
+    opts.under_replicated_grace = sim::sec(6.0);
+    return opts;
+  }
+  VodTestBed bed;
+};
+
+TEST(InvariantMonitor, ReplicationGraceRestartsWhenATitleIsWatchedAgain) {
+  // Watched under the floor for less than the grace, unwatched for longer
+  // than the grace, then watched again for less than the grace: no dip
+  // outlived the grace, so nothing may be reported.
+  SoloTitleBed solo;
+  InvariantMonitor monitor(solo.bed.deployment(), SoloTitleBed::options());
+  monitor.start();
+  solo.bed.client().watch("solo");
+  solo.bed.run_for(4.0);
+  solo.bed.client().stop();
+  solo.bed.run_for(8.0);
+  solo.bed.client().watch("solo");
+  solo.bed.run_for(4.0);
+  EXPECT_TRUE(monitor.ok()) << monitor.report();
+}
+
+TEST(InvariantMonitor, CatchesATitleWatchedUnderItsFloorPastTheGrace) {
+  SoloTitleBed solo;
+  InvariantMonitor monitor(solo.bed.deployment(), SoloTitleBed::options());
+  monitor.start();
+  solo.bed.client().watch("solo");
+  solo.bed.run_for(8.0);
+  EXPECT_FALSE(monitor.ok());
+  EXPECT_TRUE(any_violation_contains(monitor, "'solo'") &&
+              any_violation_contains(monitor, "under-replicated"))
+      << monitor.report();
+}
+
 }  // namespace
 }  // namespace ftvod::testing

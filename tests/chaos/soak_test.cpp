@@ -225,7 +225,7 @@ TEST_P(CatalogChurnSoak, PlacementHoldsInvariantsUnderChurnAndCrash) {
   EXPECT_GE(controller.model().replicas(hot).size(), 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, CatalogChurnSoak, ::testing::Range(1, 9),
+INSTANTIATE_TEST_SUITE_P(Sweep, CatalogChurnSoak, ::testing::Range(1, 41),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "seed" + std::to_string(info.param);
                          });

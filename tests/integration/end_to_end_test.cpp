@@ -38,13 +38,12 @@ TEST(EndToEnd, OccupancySettlesBetweenWaterMarks) {
   VodTestBed bed(1, 1);
   bed.watch_all();
   bed.run_for(20.0);  // fill phase (the paper reports ~14 s)
-  const auto* buffers = bed.client().buffers();
-  ASSERT_NE(buffers, nullptr);
+  ASSERT_TRUE(bed.client().buffers().has_value());
   // Sample for another 20 s: occupancy must stay around the band.
   double min_occ = 1.0, max_occ = 0.0;
   for (int i = 0; i < 200; ++i) {
     bed.run_for(0.1);
-    const double occ = buffers->occupancy_fraction();
+    const double occ = bed.client().buffers()->occupancy_fraction();
     min_occ = std::min(min_occ, occ);
     max_occ = std::max(max_occ, occ);
   }
@@ -58,8 +57,8 @@ TEST(EndToEnd, HardwareBufferFillsAndStaysFull) {
   VodTestBed bed(1, 1);
   bed.watch_all();
   bed.run_for(20.0);
-  const auto* buffers = bed.client().buffers();
-  ASSERT_NE(buffers, nullptr);
+  const auto buffers = bed.client().buffers();
+  ASSERT_TRUE(buffers.has_value());
   // Fig 4(d): the decoder buffer fills within ~10 s and stays near full.
   EXPECT_GT(buffers->hw_bytes(), buffers->hw_capacity_bytes() * 8 / 10);
 }
@@ -71,8 +70,8 @@ TEST(EndToEnd, StartupEmergencyRampsRate) {
   // The startup emergency (empty buffers) must have been requested and the
   // burst must have delivered more frames than the display consumed.
   EXPECT_GE(bed.client().control_stats().emergencies_sent, 1u);
-  const auto* buffers = bed.client().buffers();
-  ASSERT_NE(buffers, nullptr);
+  const auto buffers = bed.client().buffers();
+  ASSERT_TRUE(buffers.has_value());
   EXPECT_GT(buffers->total_frames(), 20u);
 }
 

@@ -231,9 +231,9 @@ TEST(SchedulerSlab, FrameReceivePathAllocationFree) {
 
   sched.run_until(sched.now() + sec(5.0));  // warmup: pools, buffer array
   const std::uint64_t allocs_before = alloc_count;
-  const vod::BufferCounters before = buffers.counters();
+  const vod::BufferCounters before = buffers.view().counters();
   sched.run_until(sched.now() + sec(30.0));
-  const vod::BufferCounters& after = buffers.counters();
+  const vod::BufferCounters after = buffers.view().counters();
   EXPECT_GT(after.displayed, before.displayed + 800);
   EXPECT_GT(after.late, before.late);
   EXPECT_GT(after.overflow_discards, before.overflow_discards);

@@ -116,7 +116,7 @@ class ReferenceBuffers {
 };
 
 void expect_same_state(const ClientBuffers& b, const ReferenceBuffers& r) {
-  const BufferCounters& c = b.counters();
+  const BufferCounters& c = b.view().counters();
   const BufferCounters& rc = r.counters();
   ASSERT_EQ(c.received, rc.received);
   ASSERT_EQ(c.late, rc.late);
@@ -125,10 +125,10 @@ void expect_same_state(const ClientBuffers& b, const ReferenceBuffers& r) {
   ASSERT_EQ(c.skipped, rc.skipped);
   ASSERT_EQ(c.displayed, rc.displayed);
   ASSERT_EQ(c.starvation_ticks, rc.starvation_ticks);
-  ASSERT_EQ(b.sw_frames(), r.sw_frames());
-  ASSERT_EQ(b.hw_frames(), r.hw_frames());
-  ASSERT_EQ(b.hw_bytes(), r.hw_bytes());
-  ASSERT_EQ(b.last_displayed(), r.last_displayed());
+  ASSERT_EQ(b.view().sw_frames(), r.sw_frames());
+  ASSERT_EQ(b.view().hw_frames(), r.hw_frames());
+  ASSERT_EQ(b.view().hw_bytes(), r.hw_bytes());
+  ASSERT_EQ(b.view().last_displayed(), r.last_displayed());
 }
 
 /// Small buffers for focused tests: 4 software slots, 3 frames of hardware.
@@ -137,30 +137,30 @@ ClientBuffers small() { return ClientBuffers(4, 3 * 5000, 5000); }
 TEST(ClientBuffers, FramesFlowThroughToDisplay) {
   ClientBuffers b = small();
   for (std::uint64_t i = 0; i < 3; ++i) b.insert(frame(i));
-  EXPECT_EQ(b.hw_frames(), 3u);  // streamed straight into the decoder
-  EXPECT_EQ(b.sw_frames(), 0u);
+  EXPECT_EQ(b.view().hw_frames(), 3u);  // streamed straight into the decoder
+  EXPECT_EQ(b.view().sw_frames(), 0u);
   auto f = b.consume();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->index, 0u);
-  EXPECT_EQ(b.counters().displayed, 1u);
-  EXPECT_EQ(b.counters().skipped, 0u);
+  EXPECT_EQ(b.view().counters().displayed, 1u);
+  EXPECT_EQ(b.view().counters().skipped, 0u);
 }
 
 TEST(ClientBuffers, SoftwareFillsWhenHardwareFull) {
   ClientBuffers b = small();
   for (std::uint64_t i = 0; i < 6; ++i) b.insert(frame(i));
-  EXPECT_EQ(b.hw_frames(), 3u);
-  EXPECT_EQ(b.sw_frames(), 3u);
-  EXPECT_EQ(b.total_frames(), 6u);
-  EXPECT_EQ(b.hw_bytes(), 15'000u);
+  EXPECT_EQ(b.view().hw_frames(), 3u);
+  EXPECT_EQ(b.view().sw_frames(), 3u);
+  EXPECT_EQ(b.view().total_frames(), 6u);
+  EXPECT_EQ(b.view().hw_bytes(), 15'000u);
 }
 
 TEST(ClientBuffers, ConsumeRefillsHardwareFromSoftware) {
   ClientBuffers b = small();
   for (std::uint64_t i = 0; i < 6; ++i) b.insert(frame(i));
   (void)b.consume();
-  EXPECT_EQ(b.hw_frames(), 3u);  // topped up from software
-  EXPECT_EQ(b.sw_frames(), 2u);
+  EXPECT_EQ(b.view().hw_frames(), 3u);  // topped up from software
+  EXPECT_EQ(b.view().sw_frames(), 2u);
 }
 
 TEST(ClientBuffers, OutOfOrderReorderedInSoftware) {
@@ -178,8 +178,8 @@ TEST(ClientBuffers, OutOfOrderReorderedInSoftware) {
     order.push_back(f->index);
   }
   EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(b.counters().skipped, 0u);
-  EXPECT_EQ(b.counters().late, 0u);
+  EXPECT_EQ(b.view().counters().skipped, 0u);
+  EXPECT_EQ(b.view().counters().late, 0u);
 }
 
 TEST(ClientBuffers, DuplicateCountsAsLate) {
@@ -187,7 +187,7 @@ TEST(ClientBuffers, DuplicateCountsAsLate) {
   for (std::uint64_t i = 0; i < 3; ++i) b.insert(frame(i));
   b.insert(frame(4));
   b.insert(frame(4));  // duplicate while still in the software buffer
-  EXPECT_EQ(b.counters().late, 1u);
+  EXPECT_EQ(b.view().counters().late, 1u);
 }
 
 TEST(ClientBuffers, ArrivalBehindDecoderHorizonIsLate) {
@@ -195,11 +195,11 @@ TEST(ClientBuffers, ArrivalBehindDecoderHorizonIsLate) {
   for (std::uint64_t i = 0; i < 3; ++i) b.insert(frame(i));
   // Frames 0..2 are already in the decoder; a late copy of 1 is useless.
   b.insert(frame(1));
-  EXPECT_EQ(b.counters().late, 1u);
+  EXPECT_EQ(b.view().counters().late, 1u);
   // Consuming past it doesn't re-display it.
   (void)b.consume();
   (void)b.consume();
-  EXPECT_EQ(b.counters().displayed, 2u);
+  EXPECT_EQ(b.view().counters().displayed, 2u);
 }
 
 TEST(ClientBuffers, GapCountsSkippedAtDisplayTime) {
@@ -212,14 +212,14 @@ TEST(ClientBuffers, GapCountsSkippedAtDisplayTime) {
   auto f = b.consume();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->index, 4u);
-  EXPECT_EQ(b.counters().skipped, 2u);
+  EXPECT_EQ(b.view().counters().skipped, 2u);
 }
 
 TEST(ClientBuffers, StarvationCounted) {
   ClientBuffers b = small();
   EXPECT_EQ(b.consume(), std::nullopt);
   EXPECT_EQ(b.consume(), std::nullopt);
-  EXPECT_EQ(b.counters().starvation_ticks, 2u);
+  EXPECT_EQ(b.view().counters().starvation_ticks, 2u);
 }
 
 TEST(ClientBuffers, OverflowDiscardsIncrementalNotI) {
@@ -230,12 +230,12 @@ TEST(ClientBuffers, OverflowDiscardsIncrementalNotI) {
   b.insert(frame(4, mpeg::FrameType::kI));
   b.insert(frame(5, mpeg::FrameType::kB));
   b.insert(frame(6, mpeg::FrameType::kI));
-  EXPECT_EQ(b.sw_frames(), 4u);
+  EXPECT_EQ(b.view().sw_frames(), 4u);
   // Overflow: frame 7 arrives; the furthest *incremental* frame (5) must be
   // discarded, never the I frames.
   b.insert(frame(7, mpeg::FrameType::kP));
-  EXPECT_EQ(b.counters().overflow_discards, 1u);
-  EXPECT_EQ(b.counters().overflow_discarded_i_frames, 0u);
+  EXPECT_EQ(b.view().counters().overflow_discards, 1u);
+  EXPECT_EQ(b.view().counters().overflow_discarded_i_frames, 0u);
   std::vector<std::uint64_t> displayed;
   while (auto f = b.consume()) displayed.push_back(f->index);
   EXPECT_EQ(displayed, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 6, 7}));
@@ -247,9 +247,9 @@ TEST(ClientBuffers, OverflowAllIFramesDropsIncomingIncremental) {
   for (std::uint64_t i = 3; i < 7; ++i) b.insert(frame(i, mpeg::FrameType::kI));
   // Software holds four I frames; an incoming B is the preferred victim.
   b.insert(frame(7, mpeg::FrameType::kB));
-  EXPECT_EQ(b.counters().overflow_discards, 1u);
-  EXPECT_EQ(b.counters().overflow_discarded_i_frames, 0u);
-  EXPECT_EQ(b.sw_frames(), 4u);
+  EXPECT_EQ(b.view().counters().overflow_discards, 1u);
+  EXPECT_EQ(b.view().counters().overflow_discarded_i_frames, 0u);
+  EXPECT_EQ(b.view().sw_frames(), 4u);
 }
 
 TEST(ClientBuffers, OverflowAllIFramesEvictsFurthestIForIncomingI) {
@@ -257,8 +257,8 @@ TEST(ClientBuffers, OverflowAllIFramesEvictsFurthestIForIncomingI) {
   for (std::uint64_t i = 0; i < 3; ++i) b.insert(frame(i));
   for (std::uint64_t i = 3; i < 7; ++i) b.insert(frame(i, mpeg::FrameType::kI));
   b.insert(frame(7, mpeg::FrameType::kI));
-  EXPECT_EQ(b.counters().overflow_discards, 1u);
-  EXPECT_EQ(b.counters().overflow_discarded_i_frames, 1u);
+  EXPECT_EQ(b.view().counters().overflow_discards, 1u);
+  EXPECT_EQ(b.view().counters().overflow_discarded_i_frames, 1u);
 }
 
 TEST(ClientBuffers, HardwareRespectsByteBudgetNotFrameCount) {
@@ -267,14 +267,14 @@ TEST(ClientBuffers, HardwareRespectsByteBudgetNotFrameCount) {
   b.insert(frame(0, mpeg::FrameType::kP, 4000));
   b.insert(frame(1, mpeg::FrameType::kP, 4000));
   b.insert(frame(2, mpeg::FrameType::kP, 4000));
-  EXPECT_EQ(b.hw_frames(), 2u);
-  EXPECT_EQ(b.sw_frames(), 1u);
+  EXPECT_EQ(b.view().hw_frames(), 2u);
+  EXPECT_EQ(b.view().sw_frames(), 1u);
 }
 
 TEST(ClientBuffers, OversizedFrameStillEntersEmptyHardware) {
   ClientBuffers b(4, 3000, 3000);
   b.insert(frame(0, mpeg::FrameType::kI, 20'000));  // larger than the buffer
-  EXPECT_EQ(b.hw_frames(), 1u);  // admitted rather than wedged forever
+  EXPECT_EQ(b.view().hw_frames(), 1u);  // admitted rather than wedged forever
 }
 
 TEST(ClientBuffers, FlushRepositionsWithoutCountingSkips) {
@@ -282,29 +282,29 @@ TEST(ClientBuffers, FlushRepositionsWithoutCountingSkips) {
   for (std::uint64_t i = 0; i < 5; ++i) b.insert(frame(i));
   (void)b.consume();
   b.flush_to(1000);
-  EXPECT_EQ(b.total_frames(), 0u);
-  EXPECT_EQ(b.hw_bytes(), 0u);
+  EXPECT_EQ(b.view().total_frames(), 0u);
+  EXPECT_EQ(b.view().hw_bytes(), 0u);
   b.insert(frame(1000));
   b.insert(frame(1001));
   auto f = b.consume();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->index, 1000u);
-  EXPECT_EQ(b.counters().skipped, 0u);  // the jump is not "skipped frames"
+  EXPECT_EQ(b.view().counters().skipped, 0u);  // the jump is not "skipped frames"
 }
 
 TEST(ClientBuffers, FlushMakesOlderFramesLate) {
   ClientBuffers b = small();
   b.flush_to(1000);
   b.insert(frame(999));  // pre-seek stragglers
-  EXPECT_EQ(b.counters().late, 1u);
-  EXPECT_EQ(b.total_frames(), 0u);
+  EXPECT_EQ(b.view().counters().late, 1u);
+  EXPECT_EQ(b.view().total_frames(), 0u);
 }
 
 TEST(ClientBuffers, OccupancyFraction) {
   ClientBuffers b(10, 10 * 5000, 5000);  // 20 frames total capacity
   EXPECT_EQ(b.total_capacity_frames(), 20u);
   for (std::uint64_t i = 0; i < 5; ++i) b.insert(frame(i));
-  EXPECT_DOUBLE_EQ(b.occupancy_fraction(), 0.25);
+  EXPECT_DOUBLE_EQ(b.view().occupancy_fraction(), 0.25);
 }
 
 TEST(ClientBuffers, PaperSizedBuffersHoldAbout2Point4Seconds) {
@@ -344,13 +344,13 @@ TEST_P(BufferFuzz, InvariantsUnderRandomTraffic) {
         last_shown = static_cast<std::int64_t>(f->index);
       }
     }
-    ASSERT_LE(b.sw_frames(), 8u);
-    ASSERT_LE(b.hw_bytes(), 6u * 5000u + 20'000u);  // one oversized allowance
+    ASSERT_LE(b.view().sw_frames(), 8u);
+    ASSERT_LE(b.view().hw_bytes(), 6u * 5000u + 20'000u);  // one oversized allowance
   }
   // Conservation: every received frame is either displayed, still buffered,
   // dropped as late, or discarded on overflow.
-  const BufferCounters& c = b.counters();
-  ASSERT_EQ(c.displayed + b.total_frames() + c.late + c.overflow_discards,
+  const BufferCounters& c = b.view().counters();
+  ASSERT_EQ(c.displayed + b.view().total_frames() + c.late + c.overflow_discards,
             c.received);
 }
 
@@ -428,6 +428,85 @@ TEST_P(BufferFuzz, MatchesReferenceModel) {
   }
   EXPECT_GT(r.counters().overflow_discarded_i_frames, 0u);
   EXPECT_GT(r.counters().starvation_ticks, 0u);
+}
+
+void expect_same_cursor(const ClientBuffers::Cursor& a,
+                        const ClientBuffers::Cursor& b) {
+  ASSERT_EQ(a.head, b.head);
+  ASSERT_EQ(a.hw_end, b.hw_end);
+  ASSERT_EQ(a.hw_bytes, b.hw_bytes);
+  ASSERT_EQ(a.hw_horizon, b.hw_horizon);
+  ASSERT_EQ(a.last_displayed, b.last_displayed);
+  ASSERT_EQ(a.counters.received, b.counters.received);
+  ASSERT_EQ(a.counters.late, b.counters.late);
+  ASSERT_EQ(a.counters.overflow_discards, b.counters.overflow_discards);
+  ASSERT_EQ(a.counters.overflow_discarded_i_frames,
+            b.counters.overflow_discarded_i_frames);
+  ASSERT_EQ(a.counters.skipped, b.counters.skipped);
+  ASSERT_EQ(a.counters.displayed, b.counters.displayed);
+  ASSERT_EQ(a.counters.starvation_ticks, b.counters.starvation_ticks);
+}
+
+// The lazy display's projection: advanced(cursor, k) must equal k calls of
+// consume() in every boundary and counter, from any state the arrivals,
+// overflows and repositioning leave behind, starvation included; and
+// ticks_until_sw_below() must name the first such k below a threshold.
+TEST_P(BufferFuzz, ProjectionMatchesConsume) {
+  std::mt19937 gen(GetParam() * 104729 + 5);
+  const std::size_t sw_cap = 4 + GetParam() % 5;
+  const std::size_t hw_cap = (3 + GetParam() % 4) * 5000;
+  ClientBuffers b(sw_cap, hw_cap, 5000);
+  std::uniform_int_distribution<int> pct(0, 99);
+  std::uniform_int_distribution<std::uint32_t> size(500, 9000);
+  std::uint64_t next = 0;
+  std::uint64_t projections = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const int roll = pct(gen);
+    if (roll < 65) {
+      std::int64_t idx = static_cast<std::int64_t>(next++);
+      if (pct(gen) < 30) idx += pct(gen) % 7 - 2;  // reordered or a gap
+      if (idx < 0) continue;
+      const auto type = pct(gen) < 15 ? mpeg::FrameType::kI
+                                      : mpeg::FrameType::kB;
+      const std::uint32_t bytes =
+          pct(gen) < 3 ? static_cast<std::uint32_t>(hw_cap) + 2000 : size(gen);
+      b.insert(frame(static_cast<std::uint64_t>(idx), type, bytes));
+    } else if (roll < 75) {
+      (void)b.consume();
+    } else if (roll < 77) {
+      next += static_cast<std::uint64_t>(pct(gen));
+      b.flush_to(next);
+    } else {
+      const auto k = static_cast<std::uint64_t>(pct(gen) % 40);
+      const ClientBuffers::Cursor projected = b.advanced(b.cursor(), k);
+      ClientBuffers stepped = b;
+      for (std::uint64_t i = 0; i < k; ++i) (void)stepped.consume();
+      expect_same_cursor(projected, stepped.cursor());
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "projection of " << k << " ticks diverged at step " << step;
+      }
+      // The first k at which the software stage falls below a fraction.
+      const std::array<double, 2> fractions = {
+          static_cast<double>(pct(gen)) / 100.0,
+          static_cast<double>(pct(gen)) / 100.0};
+      const auto got = b.ticks_until_sw_below(fractions);
+      for (std::size_t i = 0; i < 2; ++i) {
+        const auto want = [&]() -> std::optional<std::uint64_t> {
+          for (std::uint64_t t = 1; t <= 200; ++t) {
+            if (b.view_after(t).sw_occupancy_fraction() < fractions[i]) {
+              return t;
+            }
+          }
+          return std::nullopt;
+        }();
+        ASSERT_EQ(got[i], want) << "step " << step << " fraction " << i;
+      }
+      ++projections;
+    }
+  }
+  EXPECT_GT(projections, 500u);
+  EXPECT_GT(b.view().counters().overflow_discards, 0u);
+  EXPECT_GT(b.view().counters().starvation_ticks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferFuzz, ::testing::Range(0u, 8u));

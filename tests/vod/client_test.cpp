@@ -18,7 +18,7 @@ TEST(Client, StatsBeforeConnectionAreEmpty) {
   const VodClient& c = bed.client();
   EXPECT_FALSE(c.connected());
   EXPECT_FALSE(c.playing());
-  EXPECT_EQ(c.buffers(), nullptr);
+  EXPECT_FALSE(c.buffers().has_value());
   EXPECT_EQ(c.counters().received, 0u);
   EXPECT_EQ(c.occupancy_fraction(), 0.0);
 }
@@ -202,7 +202,7 @@ TEST(Client, LateFramesAfterStopDoNotResurrectTheDisplay) {
   bed.run_for(5.0);
   EXPECT_FALSE(bed.client().playing());
   EXPECT_FALSE(bed.client().watching());
-  EXPECT_EQ(bed.client().buffers(), nullptr);
+  EXPECT_FALSE(bed.client().buffers().has_value());
   EXPECT_EQ(bed.client().counters().received, 0u);  // back to the empty set
 }
 
@@ -266,28 +266,13 @@ TEST(Client, WatchWhileWatchingSwitchesTitlesCleanly) {
   EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
 }
 
-// A playing client has one clock: its display tick runs the watchdog checks
-// (reconnect deadline, display-progress resync, emergency thresholds), and
-// the 10 Hz watchdog clock runs only before playback starts. The tests
-// below crash or cut off the server while the client plays and check that
-// each of those checks still fires, on time, from the display tick.
-
-TEST(Client, PlayingClientRunsOneClock) {
-  VodTestBed bed(1, 1);
-  bed.watch_all();
-  EXPECT_TRUE(bed.client().watchdog_clock_running());  // prefill: no display
-  bed.run_for(5.0);
-  ASSERT_TRUE(bed.client().playing());
-  EXPECT_FALSE(bed.client().watchdog_clock_running());
-  bed.client().pause();
-  bed.run_for(1.0);
-  EXPECT_FALSE(bed.client().watchdog_clock_running());
-  bed.client().resume();
-  bed.run_for(1.0);
-  EXPECT_FALSE(bed.client().watchdog_clock_running());
-  bed.client().watch("feature");  // a fresh session prefills again
-  EXPECT_TRUE(bed.client().watchdog_clock_running());
-}
+// A playing client's watchdog checks (reconnect deadline, display-progress
+// resync, emergency thresholds) run in its display ticks, which run lazily;
+// a deadline timer wakes the client at the first tick at which a check
+// would act if nothing arrived, and the 10 Hz watchdog clock runs only
+// before playback starts. The tests below crash or cut off the server while
+// the client plays and check that each of those checks still fires, on
+// time, with no frame arriving to run the ticks.
 
 TEST(Client, ReconnectDeadlineFiresFromTheDisplayTick) {
   VodTestBed bed(1, 1);
@@ -298,9 +283,9 @@ TEST(Client, ReconnectDeadlineFiresFromTheDisplayTick) {
   const VodParams p;
   bed.run_for(sim::to_sec(p.reconnect_timeout) - 0.1);
   EXPECT_TRUE(bed.client().connected());
-  bed.run_for(0.2);  // the deadline passed: a display tick noticed
+  bed.run_for(0.2);  // the deadline passed: the deadline timer noticed
   EXPECT_FALSE(bed.client().connected());
-  EXPECT_FALSE(bed.client().watchdog_clock_running());
+  EXPECT_FALSE(bed.client().prefill_watchdog_running());
   bed.run_for(1.5);  // and the re-request keeps retrying
   EXPECT_GE(bed.client().control_stats().open_retries, 1u);
 }
@@ -351,8 +336,8 @@ TEST(Client, WedgedStreamResyncsFromTheDisplayTick) {
 
 TEST(Client, OutageRaisesAnEmergencyWithoutAnyFrame) {
   // While the client is cut off no frame arrives, so the receive path's
-  // flow check never runs: only the display tick can see the software
-  // buffer drain below the emergency thresholds.
+  // flow check never runs: only the deadline timer, armed at the projected
+  // threshold crossing, can see the software buffer drain below it.
   VodTestBed bed(1, 1);
   bed.watch_all();
   bed.run_for(10.0);
@@ -364,7 +349,7 @@ TEST(Client, OutageRaisesAnEmergencyWithoutAnyFrame) {
   bed.run_for(1.5);
   EXPECT_LE(bed.client().counters().received, received + 2);  // in flight
   EXPECT_GT(bed.client().control_stats().emergencies_sent, emergencies);
-  EXPECT_FALSE(bed.client().watchdog_clock_running());
+  EXPECT_FALSE(bed.client().prefill_watchdog_running());
   bed.deployment().network().heal();
 }
 
