@@ -56,6 +56,31 @@ bool Daemon::Group::has_member_on(net::NodeId node) const {
   return at != members.end() && at->node == node;
 }
 
+// -------------------------------------------------------------- Daemon::Epoch
+
+Daemon::Epoch::Epoch(const wire::Install& m, net::NodeId self)
+    : view{m.pv, m.members} {
+  members.reserve(view.members.size());
+  for (net::NodeId n : view.members) members.emplace_back(n);
+  for (const auto& [node, seq] : m.submit_seqs) {
+    if (Member* mem = member(node)) mem->next_submit = seq;
+  }
+  if (view.id.coord != self) return;
+  // Each group's change count restarts at 1, which is what a later join or
+  // leave counts on from.
+  for (const wire::GroupReg& reg : m.group_table) {
+    routes[reg.group].add(reg.member);
+  }
+  for (auto& [name, g] : routes) g.change_seq = 1;
+}
+
+Daemon::Epoch::Member* Daemon::Epoch::member(net::NodeId node) {
+  auto at = std::lower_bound(
+      members.begin(), members.end(), node,
+      [](const Member& mem, net::NodeId n) { return mem.node < n; });
+  return at != members.end() && at->node == node ? &*at : nullptr;
+}
+
 // --------------------------------------------------------------------- Daemon
 
 Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
@@ -64,7 +89,15 @@ Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
       net_(&net),
       self_(self),
       cfg_(std::move(cfg)),
+      // The first view is this daemon alone, built like every later one.
+      epoch_(wire::Install{.pv = ViewId{1, self},
+                           .members = {self},
+                           .group_table = {},
+                           .submit_seqs = {{self, 1}}},
+             self),
+      max_counter_seen_(1),
       outbox_timer_(sched),
+      accepted_pv_(epoch_.view.id),
       heartbeat_timer_(sched, cfg_.heartbeat_interval,
                        [this] { on_heartbeat_timer(); }),
       fd_timer_(sched, cfg_.fd_check_interval, [this] { on_fd_check(); }),
@@ -79,13 +112,6 @@ Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
                          on_datagram(from, data);
                        });
   net_->on_crash(self_, [this] { halt(); });
-
-  view_.id = ViewId{1, self_};
-  view_.members = {self_};
-  max_counter_seen_ = 1;
-  accepted_pv_ = view_.id;
-  accepted_pv_from_ = self_;
-  next_submit_expected_[self_] = 1;
 
   // Stagger heartbeats slightly per node so daemons created at the same
   // virtual instant do not tick in perfect lockstep.
@@ -107,9 +133,7 @@ Daemon::~Daemon() {
   }
 }
 
-void Daemon::halt() {
-  if (halted_) return;
-  halted_ = true;
+void Daemon::stop_timers() {
   heartbeat_timer_.stop();
   fd_timer_.stop();
   resubmit_timer_.stop();
@@ -117,36 +141,36 @@ void Daemon::halt() {
   outbox_timer_.cancel();
   propose_retry_timer_.cancel();
   rescue_timer_.cancel();
+}
+
+void Daemon::halt() {
+  if (halted_) return;
+  halted_ = true;
+  stop_timers();
   util::log_info(kLog, "daemon n", self_, " halted");
 }
 
 void Daemon::pause() {
   if (halted_ || paused_) return;
   paused_ = true;
-  heartbeat_timer_.stop();
-  fd_timer_.stop();
-  resubmit_timer_.stop();
-  nack_timer_.stop();
-  outbox_timer_.cancel();
-  propose_retry_timer_.cancel();
-  rescue_timer_.cancel();
+  stop_timers();
   util::log_info(kLog, "daemon n", self_, " paused");
 }
 
 void Daemon::resume() {
   if (halted_ || !paused_) return;
   paused_ = false;
-  // Deliberately leave last_heard_ stale: the first fd check suspects every
-  // member the pause outlived, which drives the daemon into a fresh view of
-  // its own; peers re-admit it through the merge path. An in-flight
-  // proposal from before the pause is abandoned the same way.
+  // Deliberately leave the peers' last_heard stale: the first fd check
+  // suspects every member the pause outlived, which drives the daemon into
+  // a fresh view of its own; peers re-admit it through the merge path. An
+  // in-flight proposal from before the pause is abandoned the same way.
   proposal_.reset();
   pending_install_.reset();
   heartbeat_timer_.start();
   fd_timer_.start();
   resubmit_timer_.start();
   nack_timer_.start();
-  if (state_ == State::kBlocked) {
+  if (blocked()) {
     rescue_timer_.arm(cfg_.blocked_rescue, [this] { on_blocked_rescue(); });
   }
   util::log_info(kLog, "daemon n", self_, " resumed");
@@ -202,8 +226,9 @@ void Daemon::on_datagram(const net::Endpoint& from,
     return;
   }
   const net::NodeId peer = from.node;
-  last_heard_[peer] = sched_->now();
-  suspects_.erase(peer);
+  Peer& p = peers_[peer];
+  p.last_heard = sched_->now();
+  p.suspect = false;
 
   // An intact frame with an unknown tag or a decoder-rejected body is a
   // protocol violation (or a version skew), counted but otherwise inert.
@@ -311,12 +336,13 @@ void Daemon::flush_outbox() {
   // causes here may submit more; those arm the next flush.
   const std::uint64_t first = first_unsent_;
   const std::uint64_t end = first_unsent_ = submit_seq_counter_;
-  if (state_ == State::kNormal && view_.id.coord != self_) {
+  const ViewId& view = epoch_.view.id;
+  if (!blocked() && view.coord != self_) {
     send_submits(first);
-  } else if (state_ == State::kNormal) {
+  } else if (!blocked()) {
     for (std::uint64_t seq = first; seq < end; ++seq) {
       if (auto it = pending_.find(seq); it != pending_.end()) {
-        it->second.view = view_.id;
+        it->second.view = view;
         handle_submit(self_, it->second);  // a copy: delivery erases it
       }
     }
@@ -332,68 +358,69 @@ void Daemon::submit(wire::PayloadKind kind, const std::string& group,
                     GcsEndpoint origin, util::Bytes payload) {
   if (halted_) return;
   const std::uint64_t seq = submit_seq_counter_++;
-  pending_.emplace(seq, wire::Submit{view_.id, seq, kind, group, origin,
-                                     std::move(payload)});
+  pending_.emplace(seq, wire::Submit{epoch_.view.id, seq, kind, group,
+                                     origin, std::move(payload)});
   // Handed over right after the event, batched with whatever else this
   // event submits, on the coordinator too; the resubmit timer covers losses
   // and coordinator changes (and drains anything queued while paused).
-  if (state_ == State::kNormal && !paused_ && !outbox_timer_.pending()) {
+  if (!blocked() && !paused_ && !outbox_timer_.pending()) {
     outbox_timer_.arm(0, [this] { flush_outbox(); });
   }
 }
 
 void Daemon::flush_pending_submits() {
-  if (halted_ || state_ != State::kNormal || pending_.empty()) return;
+  if (halted_ || blocked() || pending_.empty()) return;
   first_unsent_ = pending_.begin()->first;
   flush_outbox();
 }
 
 void Daemon::send_submits(std::uint64_t first) {
+  const ViewId& view = epoch_.view.id;
   util::Writer& w = scratch_;
   w.clear();
   for (auto it = pending_.lower_bound(first); it != pending_.end(); ++it) {
     if (w.size() > 0 &&
         w.size() + wire::encoded_size(it->second) > kMaxBatchBytes) {
-      send_batch(view_.id.coord, w);
+      send_batch(view.coord, w);
     }
     if (w.size() == 0) wire::begin_batch(w, wire::MsgType::kSubmit);
-    it->second.view = view_.id;
+    it->second.view = view;
     wire::append(w, it->second);
   }
-  if (w.size() > 0) send_batch(view_.id.coord, w);
+  if (w.size() > 0) send_batch(view.coord, w);
 }
 
 void Daemon::handle_submit(net::NodeId from, wire::Submit m) {
-  if (state_ != State::kNormal || m.view != view_.id ||
-      view_.id.coord != self_) {
+  if (blocked() || m.view != epoch_.view.id || m.view.coord != self_) {
     return;  // not the coordinator for this message; sender will retry
   }
-  if (!view_.contains(from)) return;
-  auto exp_it = next_submit_expected_.find(from);
-  if (exp_it == next_submit_expected_.end()) return;
-  if (m.sender_seq < exp_it->second) return;  // duplicate
+  Epoch::Member* sender = epoch_.member(from);
+  if (sender == nullptr || sender->next_submit == 0 ||
+      m.sender_seq < sender->next_submit) {
+    return;  // not a member, or a duplicate
+  }
   const std::uint64_t seq = m.sender_seq;
-  submit_buffer_[from].try_emplace(seq, std::move(m));
-  try_order_buffered(from);
+  sender->early.try_emplace(seq, std::move(m));
+  try_order_buffered(*sender);
 }
 
-void Daemon::try_order_buffered(net::NodeId sender) {
-  auto& buf = submit_buffer_[sender];
-  std::uint64_t& exp = next_submit_expected_[sender];
-  for (auto it = buf.find(exp); it != buf.end(); it = buf.find(exp)) {
-    ++exp;
+void Daemon::try_order_buffered(Epoch::Member& sender) {
+  auto& buf = sender.early;
+  for (auto it = buf.find(sender.next_submit); it != buf.end();
+       it = buf.find(sender.next_submit)) {
+    ++sender.next_submit;
     order_message(std::move(it->second), sender);
     buf.erase(it);
   }
 }
 
-void Daemon::order_message(wire::Submit m, net::NodeId sender) {
+void Daemon::order_message(wire::Submit m, Epoch::Member& sender) {
   wire::Ordered o;
-  o.view = view_.id;
-  o.gseq = next_order_gseq_++;
-  o.sender = sender;
+  o.view = epoch_.view.id;
+  o.gseq = epoch_.next_order_gseq++;
+  o.sender = sender.node;
   o.sender_seq = m.sender_seq;
-  o.sender_prev = std::exchange(last_from_[sender], o.gseq);
+  o.sender_prev = std::exchange(sender.last_from, o.gseq);
   o.kind = m.kind;
   o.group = std::move(m.group);
   o.origin = m.origin;
@@ -401,11 +428,14 @@ void Daemon::order_message(wire::Submit m, net::NodeId sender) {
   route(o);
   ++stats_.messages_ordered;
   // Encode once and append the bytes to each destination's batch: copies
-  // differ only in `prev`, patched in place.
+  // differ only in `prev`, patched in place. A destination outside the
+  // view (a group member only a forged origin can name) gets no copy.
   wire::encode_body(o, scratch_);
   bool to_self = false;
   for (net::NodeId dest : o.dests) {
-    const std::uint64_t prev = std::exchange(last_sent_[dest], o.gseq);
+    Epoch::Member* to = epoch_.member(dest);
+    if (to == nullptr) continue;
+    const std::uint64_t prev = std::exchange(to->last_sent, o.gseq);
     if (dest == self_) {
       o.prev = prev;
       to_self = true;
@@ -415,17 +445,18 @@ void Daemon::order_message(wire::Submit m, net::NodeId sender) {
     wire::patch_prev(w, wire::append_body(w, scratch_.buffer()), prev);
   }
   if (!to_self) {
-    retention_.emplace(o.gseq, std::move(o));
+    epoch_.retention.emplace(o.gseq, std::move(o));
     return;
   }
-  retention_.emplace(o.gseq, o);
+  epoch_.retention.emplace(o.gseq, o);
   handle_ordered(std::move(o));
 }
 
 void Daemon::route(wire::Ordered& o) {
   // Endpoints sort by node, so each hosting daemon appears in one run.
-  auto it = routes_.find(o.group);
-  if (it != routes_.end()) {
+  GroupTable& routes = epoch_.routes;
+  auto it = routes.find(o.group);
+  if (it != routes.end()) {
     for (const GcsEndpoint& e : it->second.members) {
       if (o.dests.empty() || o.dests.back() != e.node) {
         o.dests.push_back(e.node);
@@ -441,7 +472,7 @@ void Daemon::route(wire::Ordered& o) {
     case wire::PayloadKind::kApp:
       return;
     case wire::PayloadKind::kJoin: {
-      if (it == routes_.end()) it = routes_.try_emplace(o.group).first;
+      if (it == routes.end()) it = routes.try_emplace(o.group).first;
       Group& g = it->second;
       o.members = g.members;
       if (g.add(o.origin)) ++g.change_seq;
@@ -449,11 +480,11 @@ void Daemon::route(wire::Ordered& o) {
       return;
     }
     case wire::PayloadKind::kLeave: {
-      if (it == routes_.end()) return;
+      if (it == routes.end()) return;
       Group& g = it->second;
       if (g.remove(o.origin)) ++g.change_seq;
       o.change_seq = g.change_seq;
-      if (g.members.empty()) routes_.erase(it);
+      if (g.members.empty()) routes.erase(it);
       return;
     }
   }
@@ -461,9 +492,9 @@ void Daemon::route(wire::Ordered& o) {
 
 void Daemon::handle_ordered(wire::Ordered m) {
   // While a flush runs the held set must not change (see Flush).
-  if (m.view != view_.id || flush_ || m.gseq <= horizon_) return;
+  if (m.view != epoch_.view.id || flush_ || m.gseq <= epoch_.horizon) return;
   const std::uint64_t gseq = m.gseq;
-  holdback_.try_emplace(gseq, std::move(m));
+  epoch_.holdback.try_emplace(gseq, std::move(m));
   deliver_ready();
 }
 
@@ -471,14 +502,15 @@ void Daemon::deliver_ready() {
   // The lowest held message is next when it chains onto the horizon.
   // Delivery never orders (own submissions wait for the end-of-event flush),
   // so nothing below re-enters this loop.
-  while (!holdback_.empty() && holdback_.begin()->second.prev <= horizon_) {
-    auto it = holdback_.begin();
+  auto& holdback = epoch_.holdback;
+  while (!holdback.empty() && holdback.begin()->second.prev <= epoch_.horizon) {
+    auto it = holdback.begin();
     wire::Ordered m = std::move(it->second);
-    holdback_.erase(it);
-    horizon_ = m.gseq;
+    holdback.erase(it);
+    epoch_.horizon = m.gseq;
     deliver_one(m);
     // No-op on the coordinator, whose sent log already holds it.
-    retention_.try_emplace(m.gseq, std::move(m));
+    epoch_.retention.try_emplace(m.gseq, std::move(m));
   }
 }
 
@@ -531,7 +563,7 @@ void Daemon::apply_membership(const wire::Ordered& m) {
 
 void Daemon::emit_group_view(const std::string& group, const Group& g) {
   if (g.handles.empty()) return;
-  const GroupView gv{group, view_.id.counter, g.change_seq, g.members};
+  const GroupView gv{group, epoch_.view.id.counter, g.change_seq, g.members};
   // Copy: callbacks may join/leave reentrantly, and may erase the entry.
   const std::vector<GroupMember*> handles = g.handles;
   for (GroupMember* h : handles) {
@@ -565,13 +597,14 @@ void Daemon::maybe_nack() {
     request_flush();  // the exchange replaces NACKs while it runs
     return;
   }
-  if (view_.id.coord == self_) return;  // holds everything it ordered
+  const ViewId& view = epoch_.view.id;
+  if (view.coord == self_) return;  // holds everything it ordered
 
   // Every held message whose `prev` is beyond the message before it (held
   // or delivered) ends one gap: exactly the messages missing here.
   std::map<std::uint64_t, std::uint64_t> gaps;
-  std::uint64_t before = horizon_;
-  for (const auto& [gseq, m] : holdback_) {
+  std::uint64_t before = epoch_.horizon;
+  for (const auto& [gseq, m] : epoch_.holdback) {
     if (m.prev > before) gaps.emplace(before + 1, m.prev);
     before = gseq;
   }
@@ -579,24 +612,25 @@ void Daemon::maybe_nack() {
   // outlived a whole tick (a reordered datagram closes it sooner), and
   // again only after a further tick without progress on it.
   for (const auto& [from, to] : gaps) {
-    auto it = gaps_.find(from);
-    if (it == gaps_.end() || it->second != to) continue;
-    wire::encode_into(wire::RetransReq{view_.id, from, to}, scratch_);
-    send_to(view_.id.coord, scratch_.buffer());
+    auto it = epoch_.gaps.find(from);
+    if (it == epoch_.gaps.end() || it->second != to) continue;
+    wire::encode_into(wire::RetransReq{view, from, to}, scratch_);
+    send_to(view.coord, scratch_.buffer());
   }
-  gaps_ = std::move(gaps);
+  epoch_.gaps = std::move(gaps);
 }
 
 void Daemon::handle_retrans_req(net::NodeId from, const wire::RetransReq& m) {
   // Only the coordinator holds every message of the view, so only it can
   // rebuild the requester's chain: from_gseq - 1 is the requester's last
   // delivered or held gseq.
-  if (m.view != view_.id || view_.id.coord != self_ || m.from_gseq == 0) {
+  if (m.view != epoch_.view.id || m.view.coord != self_ || m.from_gseq == 0) {
     return;
   }
   std::uint64_t prev = m.from_gseq - 1;
-  for (auto it = retention_.lower_bound(m.from_gseq);
-       it != retention_.end() && it->first <= m.to_gseq; ++it) {
+  auto& retention = epoch_.retention;
+  for (auto it = retention.lower_bound(m.from_gseq);
+       it != retention.end() && it->first <= m.to_gseq; ++it) {
     wire::Ordered& o = it->second;
     if (!o.addressed_to(from)) continue;
     o.prev = std::exchange(prev, o.gseq);
@@ -609,22 +643,19 @@ void Daemon::repair_tail(net::NodeId member, std::uint64_t horizon) {
   // NACKs only fire when a later message reveals a gap. A member whose
   // horizon stood still for a whole heartbeat interval below what had been
   // sent to it before that interval lost the tail: push it.
-  const MemberProgress now{horizon, last_sent(member)};
-  auto [it, first] = progress_.try_emplace(member, now);
-  const MemberProgress before = std::exchange(it->second, now);
-  if (!first && horizon == before.horizon && horizon < before.sent) {
-    handle_retrans_req(member,
-                       wire::RetransReq{view_.id, horizon + 1, before.sent});
+  Epoch::Member* mem = epoch_.member(member);
+  if (mem == nullptr) return;
+  const auto before = std::exchange(
+      mem->progress, Epoch::Member::Progress{horizon, mem->last_sent});
+  if (before && horizon == before->horizon && horizon < before->sent) {
+    handle_retrans_req(
+        member, wire::RetransReq{epoch_.view.id, horizon + 1, before->sent});
   }
 }
 
-std::uint64_t Daemon::last_sent(net::NodeId member) const {
-  auto it = last_sent_.find(member);
-  return it == last_sent_.end() ? 0 : it->second;
-}
-
 void Daemon::trim_retention(std::uint64_t safe) {
-  retention_.erase(retention_.begin(), retention_.upper_bound(safe));
+  auto& retention = epoch_.retention;
+  retention.erase(retention.begin(), retention.upper_bound(safe));
 }
 
 std::uint64_t Daemon::first_pending_seq() const {

@@ -75,13 +75,14 @@ class Daemon {
   void send_to_group(const std::string& group, util::Bytes payload);
 
   [[nodiscard]] net::NodeId self() const { return self_; }
-  [[nodiscard]] const DaemonView& view() const { return view_; }
+  [[nodiscard]] const DaemonView& view() const { return epoch_.view; }
   [[nodiscard]] const GcsConfig& config() const { return cfg_; }
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   [[nodiscard]] const net::SocketStats& socket_stats() const {
     return socket_->stats();
   }
-  [[nodiscard]] bool blocked() const { return state_ == State::kBlocked; }
+  /// True from accepting a proposal until its view installs.
+  [[nodiscard]] bool blocked() const { return accepted_pv_ != epoch_.view.id; }
   /// Current membership of a group this daemon hosts (empty for a group
   /// it hosts no member of: only hosts learn a group's joins and leaves).
   [[nodiscard]] std::vector<GcsEndpoint> group_members(
@@ -104,9 +105,7 @@ class Daemon {
  private:
   friend class GroupMember;
 
-  enum class State { kNormal, kBlocked };
-
-  /// One lightweight group: an entry of the coordinator's routes_ (full
+  /// One lightweight group: an entry of the coordinator's routes (full
   /// table, `handles` unused) or of the daemon's own groups_.
   struct Group {
     std::vector<GcsEndpoint> members;  // ascending
@@ -131,19 +130,19 @@ class Daemon {
   };
 
   /// One survivor's side of the flush exchange for proposal `pv`. While it
-  /// exists the daemon is frozen: no Ordered is accepted, so holdback_ and
-  /// retention_ (the held set peers are answered from) stay fixed, and a
-  /// peer's answer is the same every time it is asked.
+  /// exists the daemon is frozen: no Ordered is accepted, so the view's
+  /// holdback and retention (the held set peers are answered from) stay
+  /// fixed, and a peer's answer is the same every time it is asked.
   struct Flush {
-    struct Peer {
-      std::uint32_t parts = 0;  // of its answer, once one part arrived
+    struct Answer {
+      std::uint32_t parts = 0;  // once one part arrived
       std::set<std::uint32_t> got;
       [[nodiscard]] bool complete() const {
         return parts > 0 && got.size() == parts;
       }
     };
     ViewId pv;
-    std::map<net::NodeId, Peer> peers;  // the other survivors of view_
+    std::map<net::NodeId, Answer> peers;  // the other survivors of the view
     /// Headers of every message any survivor holds, by gseq.
     std::map<std::uint64_t, wire::Held> held;
     std::uint64_t safe_upto = 0;  // the highest survivor's
@@ -152,10 +151,62 @@ class Daemon {
     bool done = false;
   };
 
-  /// The coordinator's last view of one member, from its heartbeats.
-  struct MemberProgress {
-    std::uint64_t horizon = 0;  // its reported horizon_
-    std::uint64_t sent = 0;     // last_sent_ to it when that arrived
+  /// Everything that lives exactly as long as one view: built whole from
+  /// its Install (the first, singleton view from a synthetic one) and
+  /// replaced whole by the next. A view's order ends with the view, so
+  /// nothing in it carries over.
+  struct Epoch {
+    /// One member of the view, as the coordinator orders for it.
+    struct Member {
+      /// Its heartbeat's horizon, and last_sent when that arrived.
+      struct Progress {
+        std::uint64_t horizon = 0;
+        std::uint64_t sent = 0;
+      };
+      explicit Member(net::NodeId n) : node(n) {}
+
+      net::NodeId node;
+      /// Its next submission to order (0: the install named none, so its
+      /// submissions are dropped), and those that arrived ahead of it.
+      std::uint64_t next_submit = 0;
+      std::map<std::uint64_t, wire::Submit> early;
+      std::uint64_t last_sent = 0;  // gseq of the last message sent to it
+      std::uint64_t last_from = 0;  // gseq of its last message ordered
+      std::optional<Progress> progress;
+    };
+
+    /// The coordinator also builds its routes from the group table.
+    Epoch(const wire::Install& m, net::NodeId self);
+    /// nullptr when `node` is not a member.
+    [[nodiscard]] Member* member(net::NodeId node);
+
+    DaemonView view;
+    std::vector<Member> members;  // parallel to view.members
+    /// gseq of the last message of the view delivered here: every message
+    /// addressed to this daemon up to it has been delivered.
+    std::uint64_t horizon = 0;
+    std::map<std::uint64_t, wire::Ordered> holdback;
+    /// Delivered messages (on the coordinator: every message it ordered),
+    /// kept until stable for retransmission and the flush.
+    std::map<std::uint64_t, wire::Ordered> retention;
+    std::uint64_t safe_upto = 0;
+    /// Gaps in the holdback chain at the previous NACK tick, first missing
+    /// gseq -> last.
+    std::map<std::uint64_t, std::uint64_t> gaps;
+    /// Coordinator only: the next gseq, and every group of the view as of
+    /// the last *ordered* join or leave. The coordinator routes groups it
+    /// does not host, so routing cannot use groups_.
+    std::uint64_t next_order_gseq = 1;
+    GroupTable routes;
+  };
+
+  /// The failure detector's record of one daemon.
+  struct Peer {
+    sim::Time last_heard = 0;
+    bool suspect = false;
+    /// Its last heartbeat while it is in a different view: a candidate for
+    /// a merge.
+    std::optional<wire::Heartbeat> foreign;
   };
 
   // ---- socket / dispatch ----
@@ -176,10 +227,10 @@ class Daemon {
   /// remote coordinator, as few batches as fit.
   void send_submits(std::uint64_t first);
   void handle_submit(net::NodeId from, wire::Submit m);
-  void try_order_buffered(net::NodeId sender);
-  void order_message(wire::Submit m, net::NodeId sender);
+  void try_order_buffered(Epoch::Member& sender);
+  void order_message(wire::Submit m, Epoch::Member& sender);
   /// Sets the destinations of a message about to be ordered; joins and
-  /// leaves also update routes_ here, ahead of delivery, and take their
+  /// leaves also update the routes here, ahead of delivery, and take their
   /// change number (and a join the members before it) from it.
   void route(wire::Ordered& o);
   void handle_ordered(wire::Ordered m);
@@ -188,7 +239,6 @@ class Daemon {
   void handle_retrans_req(net::NodeId from, const wire::RetransReq& m);
   void repair_tail(net::NodeId member, std::uint64_t horizon);
   void maybe_nack();
-  [[nodiscard]] std::uint64_t last_sent(net::NodeId member) const;
 
   // ---- group plumbing ----
   void member_send(GroupMember& member, util::Bytes payload);
@@ -201,6 +251,7 @@ class Daemon {
   std::vector<wire::GroupReg> local_regs_snapshot() const;
 
   // ---- failure detection / membership ----
+  [[nodiscard]] bool suspected(net::NodeId node) const;
   void on_heartbeat_timer();
   void on_fd_check();
   void handle_heartbeat(net::NodeId from, const wire::Heartbeat& m);
@@ -229,6 +280,8 @@ class Daemon {
   void on_propose_retry();
   void on_blocked_rescue();
   void abandon_unresponsive_and_retry();
+  /// Stops every timer: halt() and pause().
+  void stop_timers();
 
   [[nodiscard]] std::uint64_t first_pending_seq() const;
   void renumber_pending(std::uint64_t first);
@@ -249,61 +302,36 @@ class Daemon {
   bool paused_ = false;
   DaemonStats stats_;
 
-  State state_ = State::kNormal;
-  DaemonView view_;
+  Epoch epoch_;
   std::uint64_t max_counter_seen_ = 0;
 
-  // Ordering, as a member of view_.
-  /// gseq of the last message of view_ delivered here: every message
-  /// addressed to this daemon up to it has been delivered.
-  std::uint64_t horizon_ = 0;
-  std::map<std::uint64_t, wire::Ordered> holdback_;
-  /// Delivered messages (on the coordinator: every message it ordered),
-  /// kept until stable for retransmission and the flush.
-  std::map<std::uint64_t, wire::Ordered> retention_;
-  std::uint64_t safe_upto_ = 0;
-  /// Gaps in the holdback chain at the previous NACK tick, first missing
-  /// gseq -> last.
-  std::map<std::uint64_t, std::uint64_t> gaps_;
-
-  // Ordering, as coordinator of view_.
-  std::uint64_t next_order_gseq_ = 1;
-  std::map<net::NodeId, std::uint64_t> next_submit_expected_;
-  std::map<net::NodeId, std::map<std::uint64_t, wire::Submit>> submit_buffer_;
-  /// Every group of the view as of the last *ordered* join or leave. The
-  /// coordinator routes groups it does not host, so routing cannot use
-  /// groups_; rebuilt from the full table on install.
-  GroupTable routes_;
-  std::map<net::NodeId, std::uint64_t> last_sent_;  // per destination
-  std::map<net::NodeId, std::uint64_t> last_from_;  // per sender
-  std::map<net::NodeId, MemberProgress> progress_;
-
   // Own submissions awaiting ordering, by sender_seq; `view` is refreshed
-  // on every hand-over.
+  // on every hand-over. Not part of the Epoch: they outlive their view.
   std::uint64_t submit_seq_counter_ = 1;
   std::map<std::uint64_t, wire::Submit> pending_;
   std::uint64_t first_unsent_ = 1;  // submissions from here on not yet sent
 
   // Datagrams batched during the current event: Ordered per destination
-  // (coordinator) and this daemon's new submissions (first_unsent_).
+  // (coordinator) and this daemon's new submissions (first_unsent_). Not
+  // part of the Epoch: the batches can outlive their view by one event, as
+  // an Install handled at the same µs runs before the zero-delay flush.
   std::map<net::NodeId, util::Writer> outbox_;
   sim::OneShotTimer outbox_timer_;
 
   // Membership protocol.
   std::optional<Proposal> proposal_;
+  /// The proposal this daemon promised (its coord is the proposer); the
+  /// current view's id when none is open.
   ViewId accepted_pv_;
-  net::NodeId accepted_pv_from_ = net::kInvalidNode;
   std::optional<Flush> flush_;
   std::vector<net::NodeId> last_proposed_members_;
   std::optional<wire::Install> pending_install_;
   int install_resends_left_ = 0;
-  sim::Time blocked_since_ = 0;
   sim::Time last_proposal_time_ = -1'000'000'000;
 
-  // Failure detection & discovery.
-  std::map<net::NodeId, sim::Time> last_heard_;
-  std::set<net::NodeId> suspects_;
-  std::map<net::NodeId, wire::Heartbeat> foreign_;  // non-members' heartbeats
+  // Failure detection & discovery. Keyed by node id, which heartbeats and
+  // proposals carry as any u32.
+  std::map<net::NodeId, Peer> peers_;
 
   // Lightweight groups: the ones this daemon hosts or holds handles in, as
   // of the last delivered join or leave.

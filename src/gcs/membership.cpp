@@ -26,27 +26,25 @@ std::vector<net::NodeId> sorted_unique(std::vector<net::NodeId> v) {
 
 void Daemon::on_heartbeat_timer() {
   if (halted_) return;
+  Epoch& e = epoch_;
   wire::Heartbeat hb;
-  hb.view = view_.id;
-  hb.members = view_.members;
-  hb.delivered_upto = horizon_;
-  if (view_.id.coord == self_ && state_ == State::kNormal) {
+  hb.view = e.view.id;
+  hb.members = e.view.members;
+  hb.delivered_upto = e.horizon;
+  if (e.view.id.coord == self_ && !blocked()) {
     // Stability horizon: every message up to it reached all of its
     // destinations. A member whose horizon is the last gseq sent to it has
     // everything and bounds nothing.
-    std::uint64_t safe = next_order_gseq_ - 1;
-    for (net::NodeId m : view_.members) {
-      std::uint64_t horizon = horizon_;
-      if (m != self_) {
-        auto it = progress_.find(m);
-        horizon = it == progress_.end() ? 0 : it->second.horizon;
-      }
-      if (horizon < last_sent(m)) safe = std::min(safe, horizon);
+    std::uint64_t safe = e.next_order_gseq - 1;
+    for (const Epoch::Member& m : e.members) {
+      std::uint64_t horizon = e.horizon;
+      if (m.node != self_) horizon = m.progress ? m.progress->horizon : 0;
+      if (horizon < m.last_sent) safe = std::min(safe, horizon);
     }
-    safe_upto_ = safe;
-    trim_retention(safe_upto_);
+    e.safe_upto = safe;
+    trim_retention(e.safe_upto);
   }
-  hb.safe_upto = safe_upto_;
+  hb.safe_upto = e.safe_upto;
   wire::encode_into(hb, scratch_);
   for (net::NodeId peer : cfg_.peers) {
     if (peer != self_) send_to(peer, scratch_.buffer());
@@ -65,7 +63,7 @@ void Daemon::handle_heartbeat(net::NodeId from, const wire::Heartbeat& m) {
     // and split us off into a view of our own.
     std::vector<net::NodeId> members = proposal_->members;
     for (net::NodeId n : m.members) {
-      if (!suspects_.contains(n)) members.push_back(n);
+      if (!suspected(n)) members.push_back(n);
     }
     util::log_info(kLog, "n", self_, " sees n", from, " in ", m.view,
                    "; re-proposing above it");
@@ -73,64 +71,61 @@ void Daemon::handle_heartbeat(net::NodeId from, const wire::Heartbeat& m) {
     start_proposal(std::move(members));
     return;
   }
-  if (m.view == view_.id) {
-    if (from == view_.id.coord && m.safe_upto > safe_upto_ &&
-        state_ == State::kNormal) {
-      safe_upto_ = m.safe_upto;
-      trim_retention(safe_upto_);
+  Peer& peer = peers_[from];
+  if (m.view == epoch_.view.id) {
+    if (from == m.view.coord && m.safe_upto > epoch_.safe_upto &&
+        !blocked()) {
+      epoch_.safe_upto = m.safe_upto;
+      trim_retention(epoch_.safe_upto);
     }
-    if (view_.id.coord == self_ && state_ == State::kNormal) {
+    if (m.view.coord == self_ && !blocked()) {
       repair_tail(from, m.delivered_upto);
     }
-    foreign_.erase(from);
+    peer.foreign.reset();
     return;
   }
-  if (!view_.contains(from)) {
+  if (!epoch_.view.contains(from)) {
     // A daemon in a different view: candidate for a merge.
-    foreign_[from] = m;
+    peer.foreign = m;
     consider_view_change();
     return;
   }
   // A member of our view advertising a view that no longer *contains us*
   // means we were dropped while unable to notice (classic case: this daemon
   // was paused past the suspect timeout, and on resume the others' ongoing
-  // heartbeats keep refreshing last_heard_, so we never self-suspect). We
+  // heartbeats keep refreshing last_heard, so we never self-suspect). We
   // cannot sit this out: the merge rule defers to the lowest candidate id,
   // which may well be us. Treat the sighting as foreign so the normal
   // merge path runs from our side too.
   if (std::find(m.members.begin(), m.members.end(), self_) ==
       m.members.end()) {
-    foreign_[from] = m;
+    peer.foreign = m;
     consider_view_change();
   }
   // A member advertising a different view that still includes us just means
   // we missed an install; retransmission repairs that. Nothing to do here.
 }
 
+bool Daemon::suspected(net::NodeId node) const {
+  auto it = peers_.find(node);
+  return it != peers_.end() && it->second.suspect;
+}
+
 void Daemon::on_fd_check() {
   if (halted_) return;
   const sim::Time now = sched_->now();
-  for (net::NodeId m : view_.members) {
+  for (net::NodeId m : epoch_.view.members) {
     if (m == self_) continue;
-    auto it = last_heard_.find(m);
-    const sim::Time last = it == last_heard_.end() ? 0 : it->second;
-    if (now - last > cfg_.suspect_timeout) {
-      if (suspects_.insert(m).second) {
-        util::log_info(kLog, "n", self_, " suspects n", m);
-      }
+    Peer& p = peers_[m];
+    if (now - p.last_heard > cfg_.suspect_timeout && !p.suspect) {
+      p.suspect = true;
+      util::log_info(kLog, "n", self_, " suspects n", m);
     }
   }
   check_flush_progress();  // a suspected survivor may be all it waits for
   // Forget stale foreign sightings so we do not merge with the departed.
-  for (auto it = foreign_.begin(); it != foreign_.end();) {
-    const sim::Time last = last_heard_.contains(it->first)
-                               ? last_heard_[it->first]
-                               : 0;
-    if (now - last > cfg_.suspect_timeout) {
-      it = foreign_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto& [node, p] : peers_) {
+    if (now - p.last_heard > cfg_.suspect_timeout) p.foreign.reset();
   }
   consider_view_change();
 }
@@ -139,12 +134,15 @@ void Daemon::consider_view_change() {
   if (halted_ || proposal_.has_value()) return;
 
   const sim::Time now = sched_->now();
+  const std::vector<net::NodeId>& members = epoch_.view.members;
   const bool have_suspect_member =
-      std::any_of(view_.members.begin(), view_.members.end(),
-                  [&](net::NodeId m) { return suspects_.contains(m); });
-  const bool have_foreign = !foreign_.empty();
+      std::any_of(members.begin(), members.end(),
+                  [&](net::NodeId m) { return suspected(m); });
+  const bool have_foreign = std::any_of(
+      peers_.begin(), peers_.end(),
+      [](const auto& entry) { return entry.second.foreign.has_value(); });
 
-  if (state_ == State::kBlocked) {
+  if (blocked()) {
     // A proposal by someone else is in progress; only interfere if the
     // proposer itself is now suspected (handled by the rescue timer).
     return;
@@ -154,15 +152,16 @@ void Daemon::consider_view_change() {
   // Candidate membership: survivors of our view plus everyone heard in
   // foreign views, minus suspects.
   std::vector<net::NodeId> candidate;
-  for (net::NodeId m : view_.members) {
-    if (!suspects_.contains(m)) candidate.push_back(m);
+  for (net::NodeId m : members) {
+    if (!suspected(m)) candidate.push_back(m);
   }
   if (have_foreign) {
     if (now - last_proposal_time_ < cfg_.merge_backoff) return;
-    for (const auto& [node, hb] : foreign_) {
-      if (!suspects_.contains(node)) candidate.push_back(node);
-      for (net::NodeId m : hb.members) {
-        if (!suspects_.contains(m)) candidate.push_back(m);
+    for (const auto& [node, p] : peers_) {
+      if (!p.foreign) continue;
+      if (!p.suspect) candidate.push_back(node);
+      for (net::NodeId m : p.foreign->members) {
+        if (!suspected(m)) candidate.push_back(m);
       }
     }
   } else if (now - last_proposal_time_ < cfg_.propose_retry) {
@@ -189,18 +188,15 @@ void Daemon::start_proposal(std::vector<net::NodeId> members) {
   util::log_info(kLog, "n", self_, " proposes ", p.pv, " with ",
                  p.members.size(), " members");
 
-  state_ = State::kBlocked;
-  blocked_since_ = sched_->now();
   last_proposal_time_ = sched_->now();
   accepted_pv_ = p.pv;
-  accepted_pv_from_ = self_;
   last_proposed_members_ = p.members;
   flush_.reset();
 
   // Record our own ack.
   wire::ProposeAck self_ack;
   self_ack.pv = p.pv;
-  self_ack.old_view = view_.id;
+  self_ack.old_view = epoch_.view.id;
   self_ack.next_submit_seq = first_pending_seq();
   self_ack.regs = local_regs_snapshot();
   p.acks.emplace(self_, std::move(self_ack));
@@ -346,7 +342,7 @@ void Daemon::abandon_unresponsive_and_retry() {
     if (ok) {
       responsive.push_back(m);
     } else {
-      suspects_.insert(m);
+      peers_[m].suspect = true;
       util::log_warn(kLog, "n", self_, " abandons unresponsive n", m,
                      " during view change");
     }
@@ -359,16 +355,17 @@ void Daemon::abandon_unresponsive_and_retry() {
 // ---------------------------------------------------------- participant side
 
 void Daemon::handle_propose(net::NodeId from, const wire::Propose& m) {
+  if (from != m.pv.coord) return;  // only the proposer proposes its view
   max_counter_seen_ = std::max(max_counter_seen_, m.pv.counter);
-  if (m.pv.counter <= view_.id.counter) return;  // stale
+  if (m.pv.counter <= epoch_.view.id.counter) return;  // stale
   if (std::find(m.members.begin(), m.members.end(), self_) ==
       m.members.end()) {
     return;  // not part of that proposal
   }
   if (m.pv < accepted_pv_) return;  // promised a higher proposal
-  const bool duplicate = m.pv == accepted_pv_ && from == accepted_pv_from_ &&
-                         state_ == State::kBlocked;
-  if (!duplicate) {
+  // A repeat of the proposal already accepted (newer than the view, so the
+  // daemon is blocked on it) is only acked again.
+  if (m.pv != accepted_pv_) {
     if (proposal_ && proposal_->pv < m.pv) {
       // Our own lower proposal loses; its members will adopt the higher one.
       proposal_.reset();
@@ -376,18 +373,13 @@ void Daemon::handle_propose(net::NodeId from, const wire::Propose& m) {
       pending_install_.reset();
     }
     accepted_pv_ = m.pv;
-    accepted_pv_from_ = from;
     last_proposed_members_ = m.members;
     if (flush_ && flush_->pv != m.pv) flush_.reset();
-    if (state_ != State::kBlocked) {
-      state_ = State::kBlocked;
-      blocked_since_ = sched_->now();
-    }
     rescue_timer_.arm(cfg_.blocked_rescue, [this] { on_blocked_rescue(); });
   }
   wire::ProposeAck ack;
   ack.pv = m.pv;
-  ack.old_view = view_.id;
+  ack.old_view = epoch_.view.id;
   ack.next_submit_seq = first_pending_seq();
   ack.regs = local_regs_snapshot();
   if (from == self_) {
@@ -408,12 +400,12 @@ void Daemon::handle_propose(net::NodeId from, const wire::Propose& m) {
 template <typename F>
 void Daemon::for_each_held(F f) const {
   const auto delivered = [&](const wire::Ordered& o) {
-    return o.gseq <= horizon_ && o.addressed_to(self_);
+    return o.gseq <= epoch_.horizon && o.addressed_to(self_);
   };
-  for (const auto& [gseq, o] : retention_) f(o, delivered(o));
+  for (const auto& [gseq, o] : epoch_.retention) f(o, delivered(o));
   // The coordinator's undelivered own copies are also in its sent log.
-  for (const auto& [gseq, o] : holdback_) {
-    if (!retention_.contains(gseq)) f(o, delivered(o));
+  for (const auto& [gseq, o] : epoch_.holdback) {
+    if (!epoch_.retention.contains(gseq)) f(o, delivered(o));
   }
 }
 
@@ -424,16 +416,16 @@ void Daemon::merge_held(const wire::Held& h) {
 
 void Daemon::handle_flush_target(net::NodeId from, const wire::FlushTarget& m) {
   (void)from;
-  if (m.pv != accepted_pv_ || state_ != State::kBlocked) return;
+  if (m.pv != accepted_pv_ || !blocked()) return;
   if (flush_ && flush_->pv == m.pv) {
     if (flush_->done) send_flush_done();  // a resent target: ours was lost
     return;
   }
   flush_.emplace();
   flush_->pv = m.pv;
-  flush_->safe_upto = safe_upto_;
+  flush_->safe_upto = epoch_.safe_upto;
   for (const auto& e : m.entries) {
-    if (e.old_view != view_.id) continue;
+    if (e.old_view != epoch_.view.id) continue;
     for (net::NodeId n : e.survivors) {
       if (n != self_) flush_->peers[n];
     }
@@ -441,13 +433,13 @@ void Daemon::handle_flush_target(net::NodeId from, const wire::FlushTarget& m) {
   for_each_held([&](const wire::Ordered& o, bool delivered) {
     merge_held(wire::Held{o.gseq, o.sender_prev, delivered});
   });
-  gaps_.clear();
+  epoch_.gaps.clear();
   request_flush();
   check_flush_progress();
 }
 
 void Daemon::request_flush() {
-  wire::encode_into(wire::FlushReq{flush_->pv, horizon_}, scratch_);
+  wire::encode_into(wire::FlushReq{flush_->pv, epoch_.horizon}, scratch_);
   for (const auto& [peer, p] : flush_->peers) {
     if (!p.complete()) send_to(peer, scratch_.buffer());
   }
@@ -479,7 +471,7 @@ void Daemon::handle_flush_req(net::NodeId from, const wire::FlushReq& m) {
     parts[i].pv = m.pv;
     parts[i].part = static_cast<std::uint32_t>(i);
     parts[i].parts = static_cast<std::uint32_t>(parts.size());
-    parts[i].safe_upto = safe_upto_;
+    parts[i].safe_upto = epoch_.safe_upto;
     wire::encode_into(parts[i], scratch_);
     send_to(from, scratch_.buffer());
   }
@@ -494,7 +486,9 @@ void Daemon::handle_flush_reply(net::NodeId from, wire::FlushReply m) {
   flush_->safe_upto = std::max(flush_->safe_upto, m.safe_upto);
   for (const wire::Held& h : m.held) merge_held(h);
   for (wire::Ordered& o : m.msgs) {
-    if (o.view == view_.id) flush_->received.try_emplace(o.gseq, std::move(o));
+    if (o.view == epoch_.view.id) {
+      flush_->received.try_emplace(o.gseq, std::move(o));
+    }
   }
   check_flush_progress();
 }
@@ -506,7 +500,7 @@ void Daemon::check_flush_progress() {
   std::vector<net::NodeId> dropped;
   for (const auto& [peer, p] : flush_->peers) {
     if (p.complete()) continue;
-    if (!suspects_.contains(peer)) return;
+    if (!suspected(peer)) return;
     dropped.push_back(peer);
   }
   flush_->done = true;
@@ -518,10 +512,10 @@ void Daemon::send_flush_done() {
   // Last step: on the proposer this can install or re-propose
   // synchronously, which resets flush_.
   const wire::FlushDone done{flush_->pv, flush_->dropped};
-  if (accepted_pv_from_ == self_) {
+  if (accepted_pv_.coord == self_) {
     handle_flush_done(self_, done);
   } else {
-    send_to(accepted_pv_from_, wire::encode(done));
+    send_to(accepted_pv_.coord, wire::encode(done));
   }
 }
 
@@ -547,10 +541,11 @@ void Daemon::deliver_flushed() {
       keep.insert(gseq);
     }
   }
-  holdback_.merge(flush_->received);  // keys held already stay behind
-  for (const auto& [gseq, m] : holdback_) {
+  auto& holdback = epoch_.holdback;
+  holdback.merge(flush_->received);  // keys held already stay behind
+  for (const auto& [gseq, m] : holdback) {
     if (!keep.contains(gseq)) continue;
-    horizon_ = gseq;
+    epoch_.horizon = gseq;
     deliver_one(m);
   }
 }
@@ -558,7 +553,7 @@ void Daemon::deliver_flushed() {
 void Daemon::handle_install(net::NodeId from, const wire::Install& m) {
   (void)from;
   max_counter_seen_ = std::max(max_counter_seen_, m.pv.counter);
-  if (m.pv.counter <= view_.id.counter) return;  // duplicate / stale
+  if (m.pv.counter <= epoch_.view.id.counter) return;  // duplicate / stale
   // Only the proposal we flushed for: its FlushDone carried our promise to
   // deliver exactly what that flush settled.
   if (m.pv != accepted_pv_) return;
@@ -576,57 +571,36 @@ void Daemon::apply_install(const wire::Install& m) {
   if (flush_ && flush_->pv == m.pv) deliver_flushed();
   flush_.reset();
 
-  view_.id = m.pv;
-  view_.members = m.members;
-  state_ = State::kNormal;
+  epoch_ = Epoch(m, self_);
   accepted_pv_ = m.pv;
-  accepted_pv_from_ = m.pv.coord;
   proposal_.reset();
   rescue_timer_.cancel();
-
-  holdback_.clear();
-  retention_.clear();
-  horizon_ = 0;
-  next_order_gseq_ = 1;
-  safe_upto_ = 0;
-  gaps_.clear();
-  submit_buffer_.clear();
-  progress_.clear();
-  last_sent_.clear();
-  last_from_.clear();
-  next_submit_expected_.clear();
-  for (const auto& [node, seq] : m.submit_seqs) {
-    next_submit_expected_[node] = seq;
-    if (node == self_) renumber_pending(seq);
+  if (const Epoch::Member* me = epoch_.member(self_);
+      me != nullptr && me->next_submit != 0) {
+    renumber_pending(me->next_submit);
   }
 
   const sim::Time now = sched_->now();
-  for (net::NodeId member : view_.members) {
-    last_heard_[member] = now;
-    suspects_.erase(member);
-    foreign_.erase(member);
+  for (net::NodeId member : m.members) {
+    peers_[member] = Peer{.last_heard = now, .suspect = false, .foreign = {}};
   }
-  // The install carries the full group table. This daemon keeps the groups
-  // it has a local registration in; the new coordinator routes from all of
-  // it. Each group's change count restarts at 1 (0 while it has no
-  // member), which is what a later join or leave counts on from.
+  // The install carries the full group table (the new coordinator routes
+  // from all of it). This daemon keeps the groups it has a local
+  // registration in. Each group's change count restarts at 1 (0 while it
+  // has no member), as in the routes.
   std::erase_if(groups_,
                 [](const auto& e) { return e.second.handles.empty(); });
   for (auto& [name, g] : groups_) g.members.clear();
-  routes_.clear();
-  const bool coordinating = view_.id.coord == self_;
   for (const wire::GroupReg& reg : m.group_table) {
-    if (coordinating) routes_[reg.group].add(reg.member);
     if (auto it = groups_.find(reg.group); it != groups_.end()) {
       it->second.add(reg.member);
     }
   }
-  for (auto& [name, g] : routes_) g.change_seq = 1;
   for (auto& [name, g] : groups_) g.change_seq = g.members.empty() ? 0 : 1;
   stats_.groups_held = groups_.size();
 
-  util::log_info(kLog, "n", self_, " now in ", view_.id, " with ",
-                 view_.members.size(), " members");
+  util::log_info(kLog, "n", self_, " now in ", m.pv, " with ",
+                 m.members.size(), " members");
 
   // Deliver fresh views for every locally-registered group whose membership
   // may have changed (conservatively: all of them).
@@ -642,13 +616,13 @@ void Daemon::apply_install(const wire::Install& m) {
 }
 
 void Daemon::on_blocked_rescue() {
-  if (halted_ || state_ != State::kBlocked) return;
+  if (halted_ || !blocked()) return;
   // The proposer has gone quiet for a long time. Suspect it and let the
   // smallest surviving candidate re-propose.
-  if (accepted_pv_from_ != self_) suspects_.insert(accepted_pv_from_);
+  if (accepted_pv_.coord != self_) peers_[accepted_pv_.coord].suspect = true;
   std::vector<net::NodeId> candidate;
   for (net::NodeId m : last_proposed_members_) {
-    if (!suspects_.contains(m)) candidate.push_back(m);
+    if (!suspected(m)) candidate.push_back(m);
   }
   candidate = sorted_unique(std::move(candidate));
   if (!candidate.empty() && candidate.front() == self_) {

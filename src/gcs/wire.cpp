@@ -237,12 +237,6 @@ void encode_into(const Heartbeat& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const Heartbeat& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<Heartbeat> decode_heartbeat(util::Datagram data) {
   auto r = body(data, MsgType::kHeartbeat);
   if (!r) return std::nullopt;
@@ -352,12 +346,6 @@ void encode_into(const RetransReq& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const RetransReq& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<RetransReq> decode_retrans_req(util::Datagram data) {
   auto r = body(data, MsgType::kRetransReq);
   if (!r) return std::nullopt;
@@ -374,12 +362,6 @@ void encode_into(const Propose& m, util::Writer& w) {
   put_view_id(w, m.pv);
   put_nodes(w, m.members);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Propose& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Propose> decode_propose(util::Datagram data) {
@@ -399,12 +381,6 @@ void encode_into(const ProposeAck& m, util::Writer& w) {
   w.u64(m.next_submit_seq);
   put_regs(w, m.regs);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const ProposeAck& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<ProposeAck> decode_propose_ack(util::Datagram data) {
@@ -428,12 +404,6 @@ void encode_into(const FlushTarget& m, util::Writer& w) {
     put_nodes(w, e.survivors);
   }
   util::frame_seal(w);
-}
-
-util::Bytes encode(const FlushTarget& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<FlushTarget> decode_flush_target(util::Datagram data) {
@@ -461,12 +431,6 @@ void encode_into(const FlushReq& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const FlushReq& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<FlushReq> decode_flush_req(util::Datagram data) {
   auto r = body(data, MsgType::kFlushReq);
   if (!r) return std::nullopt;
@@ -492,12 +456,6 @@ void encode_into(const FlushReply& m, util::Writer& w) {
   w.u32(static_cast<std::uint32_t>(m.msgs.size()));
   for (const Ordered& o : m.msgs) put_ordered(w, o);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const FlushReply& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<FlushReply> decode_flush_reply(util::Datagram data) {
@@ -536,12 +494,6 @@ void encode_into(const FlushDone& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const FlushDone& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<FlushDone> decode_flush_done(util::Datagram data) {
   auto r = body(data, MsgType::kFlushDone);
   if (!r) return std::nullopt;
@@ -563,12 +515,6 @@ void encode_into(const Install& m, util::Writer& w) {
     w.u64(seq);
   }
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Install& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Install> decode_install(util::Datagram data) {

@@ -187,9 +187,8 @@ struct Install {
 
 /// encode_into() clears `w` and encodes into it, reusing the writer's
 /// capacity — the allocation-free path for the daemon's per-peer sends
-/// (heartbeats every interval). encode() is the convenience wrapper
-/// returning a fresh buffer; a single Submit or Ordered encodes as a batch
-/// of one.
+/// (heartbeats every interval). encode() (util::encode) returns a fresh
+/// buffer; a single Submit or Ordered encodes as a batch of one.
 void encode_into(const Heartbeat& m, util::Writer& w);
 void encode_into(const RetransReq& m, util::Writer& w);
 void encode_into(const Propose& m, util::Writer& w);
@@ -200,19 +199,11 @@ void encode_into(const FlushReply& m, util::Writer& w);
 void encode_into(const FlushDone& m, util::Writer& w);
 void encode_into(const Install& m, util::Writer& w);
 
-util::Bytes encode(const Heartbeat& m);
+using util::encode;
 util::Bytes encode(const Submit& m);
 util::Bytes encode(const Ordered& m);
 util::Bytes encode(const std::vector<Submit>& batch);
 util::Bytes encode(const std::vector<Ordered>& batch);
-util::Bytes encode(const RetransReq& m);
-util::Bytes encode(const Propose& m);
-util::Bytes encode(const ProposeAck& m);
-util::Bytes encode(const FlushTarget& m);
-util::Bytes encode(const FlushReq& m);
-util::Bytes encode(const FlushReply& m);
-util::Bytes encode(const FlushDone& m);
-util::Bytes encode(const Install& m);
 
 /// Incremental batches: begin_batch(), then append() or append_body() per
 /// message, then seal_batch(). The appends return the byte offset of the

@@ -8,18 +8,23 @@ namespace ftvod::testing {
 
 namespace {
 constexpr std::string_view kLog = "invariant";
-}
+constexpr sim::Duration kCheckPeriod = sim::msec(100);
+/// Invariant 1: max time a client may be served by two healthy servers.
+constexpr sim::Duration kMultiServeGrace = sim::sec(8.0);
+/// Violations recorded (all are counted).
+constexpr std::size_t kMaxRecorded = 64;
+}  // namespace
 
 InvariantMonitor::InvariantMonitor(vod::Deployment& dep, InvariantOptions opts)
     : dep_(&dep),
       opts_(opts),
-      timer_(dep.scheduler(), opts.check_period, [this] { check_now(); }) {}
+      timer_(dep.scheduler(), kCheckPeriod, [this] { check_now(); }) {}
 
 void InvariantMonitor::start() { timer_.start(); }
 
 void InvariantMonitor::record(const std::string& what) {
   ++total_violations_;
-  if (violations_.size() < opts_.max_recorded) {
+  if (violations_.size() < kMaxRecorded) {
     violations_.push_back(Violation{dep_->scheduler().now(), what});
   }
   util::log_warn(kLog, "VIOLATION at t=",
@@ -40,10 +45,14 @@ bool InvariantMonitor::server_healthy(
 
 void InvariantMonitor::check_now() {
   ++checks_run_;
+  for (const auto& cn : dep_->clients()) {
+    reads_.push_back({cn.get(), cn->client->buffers()});
+  }
   check_ownership_and_liveness();
-  if (opts_.check_assignment_agreement) check_assignment_agreement();
-  if (opts_.check_buffers) check_buffers();
+  check_assignment_agreement();
+  check_buffers();
   if (opts_.replication_floor > 0) check_replication();
+  reads_.clear();  // the views point into buffers a session may drop
 }
 
 void InvariantMonitor::check_replication() {
@@ -54,9 +63,10 @@ void InvariantMonitor::check_replication() {
   // window is a violation.
   const sim::Time now = dep_->scheduler().now();
   std::map<std::string, std::size_t> watched;  // title -> watching clients
-  for (auto& cn : dep_->clients()) {
+  for (const auto& [cn, view] : reads_) {
     const vod::VodClient& c = *cn->client;
-    if (c.watching() && !c.at_end() && dep_->network().alive(cn->node)) {
+    const bool at_end = view && c.at_end(*view);
+    if (c.watching() && !at_end && dep_->network().alive(cn->node)) {
       ++watched[c.movie()];
     }
   }
@@ -101,7 +111,7 @@ void InvariantMonitor::check_ownership_and_liveness() {
   const sim::Time now = dep_->scheduler().now();
   net::Network& net = dep_->network();
 
-  for (auto& cn : dep_->clients()) {
+  for (const auto& [cn, view] : reads_) {
     const vod::VodClient& client = *cn->client;
     if (!net.alive(cn->node)) continue;
     const std::uint64_t id = client.client_id();
@@ -118,25 +128,26 @@ void InvariantMonitor::check_ownership_and_liveness() {
       track.multi_since = -1;
     } else if (track.multi_since < 0) {
       track.multi_since = now;
-    } else if (now - track.multi_since > opts_.multi_serve_grace) {
+    } else if (now - track.multi_since > kMultiServeGrace) {
       std::ostringstream os;
       os << "client " << id << " served by " << owners.size()
          << " healthy servers (";
       for (std::size_t i = 0; i < owners.size(); ++i) {
         os << (i ? "," : "") << "n" << owners[i];
       }
-      os << ") for more than "
-         << static_cast<double>(opts_.multi_serve_grace) / 1e6 << "s";
+      os << ") for more than " << static_cast<double>(kMultiServeGrace) / 1e6
+         << "s";
       record(os.str());
       track.multi_since = now;  // rate-limit: one report per grace window
     }
 
     // ---- invariant 3: bounded stall while servable ----------------------
-    const std::uint64_t displayed = client.counters().displayed;
+    const std::uint64_t displayed = view ? view->counters().displayed : 0;
     const bool progressing = displayed > track.last_displayed;
     track.last_displayed = displayed;
 
-    bool servable = client.playing() && !client.paused() && !client.at_end();
+    bool servable = client.playing() && !client.paused() &&
+                    !(view && client.at_end(*view));
     if (servable) {
       bool reachable_replica = false;
       for (auto& sn : dep_->servers()) {
@@ -154,7 +165,7 @@ void InvariantMonitor::check_ownership_and_liveness() {
     } else if (now - track.stall_since > opts_.stall_bound) {
       std::ostringstream os;
       os << "client " << id << " stalled at frame "
-         << (client.buffers() ? client.buffers()->last_displayed() : -1)
+         << (view ? view->last_displayed() : -1)
          << " for more than "
          << static_cast<double>(opts_.stall_bound) / 1e6
          << "s despite a reachable replica";
@@ -207,8 +218,7 @@ void InvariantMonitor::check_assignment_agreement() {
 }
 
 void InvariantMonitor::check_buffers() {
-  for (auto& cn : dep_->clients()) {
-    const auto buf = cn->client->buffers();
+  for (const auto& [cn, buf] : reads_) {
     if (!buf) continue;
     if (buf->sw_frames() > buf->sw_capacity()) {
       std::ostringstream os;

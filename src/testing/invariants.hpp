@@ -15,13 +15,16 @@
 //                      than the takeover bound;
 //  4. bounded buffers— client occupancy never exceeds capacity.
 //
-// All bounds are configurable; a violation records the virtual time and a
-// human-readable description, and the soak harness prints them together
-// with the chaos plan's seed and event trace.
+// Checks run every 100 ms of simulated time, and the hand-off window of
+// invariant 1 is 8 s; the stall bound and invariant 5 are options. A
+// violation records the virtual time and a human-readable description (the
+// first 64 are kept, all are counted), and the soak harness prints them
+// together with the chaos plan's seed and event trace.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,13 +34,8 @@
 namespace ftvod::testing {
 
 struct InvariantOptions {
-  sim::Duration check_period = sim::msec(100);
   /// Invariant 3: max time a servable client's display may fail to advance.
   sim::Duration stall_bound = sim::sec(10.0);
-  /// Invariant 1: max time a client may be served by two healthy servers.
-  sim::Duration multi_serve_grace = sim::sec(8.0);
-  bool check_assignment_agreement = true;
-  bool check_buffers = true;
   /// Invariant 5 (no under-replicated title): a title with at least one
   /// watching client must be held by at least min(replication_floor,
   /// healthy-server count) healthy servers. 0 disables the check (the
@@ -48,8 +46,6 @@ struct InvariantOptions {
   /// violation: the placement controller needs a control period or two
   /// (plus failure detection) to direct a repair.
   sim::Duration under_replicated_grace = sim::sec(6.0);
-  /// Stop recording (but keep counting) beyond this many violations.
-  std::size_t max_recorded = 64;
 };
 
 struct Violation {
@@ -97,6 +93,12 @@ class InvariantMonitor {
   InvariantOptions opts_;
   sim::PeriodicTimer timer_;
   std::map<std::uint64_t, ClientTrack> tracks_;  // by client id
+  /// During one check: every client with its buffers(), projected once.
+  struct ClientRead {
+    const vod::Deployment::ClientNode* cn;
+    std::optional<vod::ClientBuffers::View> view;
+  };
+  std::vector<ClientRead> reads_;
   /// Title -> time it first dipped below the replication floor (invariant 5).
   std::map<std::string, sim::Time> under_replicated_since_;
   std::vector<Violation> violations_;

@@ -91,4 +91,14 @@ class Reader {
   bool ok_ = true;
 };
 
+/// Encodes a message into a fresh buffer through its encode_into(m, w)
+/// overload, found by argument-dependent lookup in the message's namespace
+/// (each wire namespace re-exports this with `using util::encode;`).
+template <class M>
+Bytes encode(const M& m) {
+  Writer w;
+  encode_into(m, w);
+  return w.take();
+}
+
 }  // namespace ftvod::util

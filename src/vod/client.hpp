@@ -20,6 +20,7 @@
 // projections: counters(), at_end(), occupancy_fraction() and buffers().
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -76,13 +77,15 @@ class VodClient {
   void set_quality(double fps);
   void stop();
 
-  [[nodiscard]] bool connected() const { return connected_; }
-  [[nodiscard]] bool playing() const { return playing_; }
-  [[nodiscard]] bool paused() const { return paused_; }
+  [[nodiscard]] bool connected() const {
+    return session_ && session_->connected;
+  }
+  [[nodiscard]] bool playing() const { return session_ && session_->playing; }
+  [[nodiscard]] bool paused() const { return session_ && session_->paused; }
   /// True between watch() and stop(): the client wants (or receives) a
   /// stream right now. Placement and the under-replication invariant key on
   /// this, not on connected(), which flaps during takeovers.
-  [[nodiscard]] bool watching() const { return session_member_ != nullptr; }
+  [[nodiscard]] bool watching() const { return session_.has_value(); }
   [[nodiscard]] net::NodeId node() const { return node_; }
   [[nodiscard]] std::uint64_t client_id() const { return client_id_; }
   /// The title requested by watch(), empty before the first watch().
@@ -90,7 +93,11 @@ class VodClient {
   /// True once the display has reached the last frame of the movie.
   [[nodiscard]] bool at_end() const {
     const auto b = buffers();
-    return b && is_end(b->last_displayed());
+    return b && at_end(*b);
+  }
+  /// at_end() of a view buffers() returned, without projecting it again.
+  [[nodiscard]] bool at_end(const ClientBuffers::View& b) const {
+    return session_->is_end(b.last_displayed());
   }
   /// The buffers as the display leaves them now (every tick due by the
   /// scheduler's clock consumed); nullopt before the first OpenReply.
@@ -110,20 +117,26 @@ class VodClient {
   /// True while the 10 Hz prefill watchdog runs: from watch() until the
   /// display starts. A playing client's checks run in its display ticks.
   [[nodiscard]] bool prefill_watchdog_running() const {
-    return watchdog_timer_.running();
+    return session_ && session_->watchdog_timer.running();
   }
   [[nodiscard]] const net::SocketStats& data_socket_stats() const {
     return data_socket_->stats();
   }
   /// Water marks in frames, for plotting Fig 4(c).
-  [[nodiscard]] double low_water_frames() const;
-  [[nodiscard]] double high_water_frames() const;
+  [[nodiscard]] double low_water_frames() const {
+    return params_.low_water_frac * capacity_frames();
+  }
+  [[nodiscard]] double high_water_frames() const {
+    return params_.high_water_frac * capacity_frames();
+  }
 
  private:
   void on_datagram(const net::Endpoint& from, std::span<const std::byte> d);
   void on_session_message(const gcs::GcsEndpoint& from,
                           std::span<const std::byte> d);
   void on_frame(const wire::Frame& f);
+  /// Total buffer capacity in frames; 0 before the first OpenReply.
+  [[nodiscard]] double capacity_frames() const;
   /// Runs every display tick due at or before `now`, in order, each at its
   /// own tick time: consume one frame, then check_stream() if connected.
   void advance_to(sim::Time now);
@@ -144,14 +157,6 @@ class VodClient {
   /// takes the watchdog over.
   void start_display();
   void stop_display();
-  [[nodiscard]] std::uint64_t ticks_due(sim::Time now) const {
-    if (!display_running_ || now < next_tick_) return 0;
-    return static_cast<std::uint64_t>((now - next_tick_) / period_) + 1;
-  }
-  [[nodiscard]] bool is_end(std::int64_t last_displayed) const {
-    return movie_frames_ > 0 &&
-           last_displayed + 1 >= static_cast<std::int64_t>(movie_frames_);
-  }
   void send_open_request();
   void send_flow(FlowAction action, sim::Time t);
   void do_seek(std::uint64_t frame);
@@ -167,43 +172,67 @@ class VodClient {
   std::string movie_;
   double capability_fps_ = 0.0;
 
+  /// One viewing session, from watch() to stop() or the next watch(): built
+  /// whole and dropped whole, so nothing of one session reaches the next.
+  /// A host crash keeps it, so its counters stay readable, but stops its
+  /// timers.
+  struct Session {
+    Session(sim::Scheduler& sched, const VodParams& params,
+            std::function<void()> on_watchdog)
+        : flow(params),
+          deadline_timer(sched),
+          watchdog_timer(sched, params.watchdog_period, std::move(on_watchdog)),
+          open_retry_timer(sched) {}
+
+    [[nodiscard]] std::uint64_t ticks_due(sim::Time now) const {
+      if (!display_running || now < next_tick) return 0;
+      return static_cast<std::uint64_t>((now - next_tick) / period) + 1;
+    }
+    [[nodiscard]] bool is_end(std::int64_t last_displayed) const {
+      return movie_frames > 0 &&
+             last_displayed + 1 >= static_cast<std::int64_t>(movie_frames);
+    }
+
+    std::unique_ptr<gcs::GroupMember> member;  // the session group
+    std::optional<ClientBuffers> buffers;     // from the first OpenReply
+    FlowController flow;
+
+    bool connected = false;  // OpenReply received
+    bool playing = false;    // display loop running
+    bool paused = false;
+    double movie_fps = 30.0;
+    std::uint64_t movie_frames = 0;
+
+    /// The display clock: while it runs, ticks fall at next_tick +
+    /// k * period. A period change applies after the next tick.
+    bool display_running = false;
+    sim::Time next_tick = 0;
+    sim::Duration period = sim::msec(33);
+    sim::OneShotTimer deadline_timer;
+    sim::Time deadline_at = 0;  // when deadline_timer fires, if pending
+    sim::PeriodicTimer watchdog_timer;
+    sim::OneShotTimer open_retry_timer;
+    /// Current open-retry backoff delay; 0 means "start over at the base
+    /// interval". Doubles (with jitter) per retry up to
+    /// params.open_retry_cap and resets on a successful connect.
+    sim::Duration open_retry_delay = 0;
+    sim::Time last_emergency_at = -1'000'000'000;
+    std::uint8_t last_emergency_tier = 255;  // 255 = none outstanding
+    sim::Time last_frame_at = 0;
+    /// Display-progress tracking for wedged-stream recovery: a session can
+    /// be alive on the wire (frames arriving, resetting last_frame_at) yet
+    /// useless, e.g. a server left re-transmitting from a stale offset
+    /// after a chaotic sequence of view changes. The watchdog
+    /// re-synchronises via a seek to the actual position, and falls back
+    /// to a full re-open when the resyncs go unheard.
+    std::int64_t last_progress_frame = -1;
+    sim::Time last_progress_at = 0;
+    int resync_attempts = 0;
+  };
+
   std::unique_ptr<net::Socket> data_socket_;
-  std::unique_ptr<gcs::GroupMember> session_member_;
-  std::optional<ClientBuffers> buffers_;
-  FlowController flow_;
-
-  bool connected_ = false;  // OpenReply received
-  bool playing_ = false;    // display loop running
-  bool paused_ = false;
+  std::optional<Session> session_;
   bool halted_ = false;
-  double movie_fps_ = 30.0;
-  std::uint64_t movie_frames_ = 0;
-
-  /// The display clock: while it runs, ticks fall at next_tick_ +
-  /// k * period_. A period change applies after the next tick.
-  bool display_running_ = false;
-  sim::Time next_tick_ = 0;
-  sim::Duration period_ = sim::msec(33);
-  sim::OneShotTimer deadline_timer_;
-  sim::Time deadline_at_ = 0;  // when deadline_timer_ fires, if pending
-  sim::PeriodicTimer watchdog_timer_;
-  sim::OneShotTimer open_retry_timer_;
-  /// Current open-retry backoff delay; 0 means "start over at the base
-  /// interval". Doubles (with jitter) per retry up to params_.open_retry_cap
-  /// and resets on a successful connect.
-  sim::Duration open_retry_delay_ = 0;
-  sim::Time last_emergency_at_ = -1'000'000'000;
-  std::uint8_t last_emergency_tier_ = 255;  // 255 = none outstanding
-  sim::Time last_frame_at_ = 0;
-  /// Display-progress tracking for wedged-stream recovery: a session can be
-  /// alive on the wire (frames arriving, resetting last_frame_at_) yet
-  /// useless, e.g. a server left re-transmitting from a stale offset after
-  /// a chaotic sequence of view changes. The watchdog re-synchronises via a
-  /// seek to the actual position, and falls back to a full re-open when the
-  /// resyncs go unheard.
-  std::int64_t last_progress_frame_ = -1;
-  sim::Time last_progress_at_ = 0;
-  int resync_attempts_ = 0;
 
   ClientControlStats control_stats_;
 };

@@ -145,7 +145,7 @@ void VodServer::handle_open_request(const wire::OpenRequest& req) {
   // Until its own join is delivered, a server is not in the view its peers
   // decide from; they decide without it.
   if (!ms.in_view(daemon_->self())) return;
-  if (ms.rebalance_pending) {
+  if (!ms.pending_tables.empty()) {
     ms.held_opens.push_back(req);
   } else {
     decide_open(ms, req);
@@ -258,7 +258,9 @@ void VodServer::apply_table(MovieState& ms, net::NodeId from,
                             const wire::StateSync& table) {
   // A table for a superseded round would re-claim clients that round's
   // successor has since moved.
-  if (!ms.rebalance_pending || table.exchange_tag != ms.exchange_tag) return;
+  if (ms.pending_tables.empty() || table.exchange_tag != ms.exchange_tag) {
+    return;
+  }
   for (const wire::ClientRecord& rec : table.clients) {
     ms.assert_claim(rec, from);
   }
@@ -276,7 +278,6 @@ void VodServer::on_movie_group_view(const std::string& movie,
   if (it == movies_.end()) return;
   MovieState& ms = *it->second;
   ms.view_servers = server_nodes(v);
-  ms.rebalance_pending = true;
 
   // §5.2: "the servers first exchange information about clients, and then
   // use it to deduce which clients each of them will serve". Each member
@@ -319,7 +320,6 @@ void VodServer::on_movie_group_view(const std::string& movie,
 }
 
 void VodServer::rebalance_now(MovieState& ms) {
-  ms.rebalance_pending = false;
   ++stats_.rebalances;
 
   // A claim naming a view member that no ordered message asserted since the
@@ -368,7 +368,7 @@ const RebalanceSnapshot* VodServer::rebalance_snapshot(
 
 bool VodServer::rebalance_pending(const std::string& movie) const {
   auto it = movies_.find(movie);
-  return it != movies_.end() && it->second->rebalance_pending;
+  return it != movies_.end() && !it->second->pending_tables.empty();
 }
 
 // --------------------------------------------------------- session handling

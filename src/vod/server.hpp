@@ -170,11 +170,16 @@ class VodServer {
     /// member rebalances when it has delivered the tagged table of every
     /// view member, its own included — the same point of the total order at
     /// all members. A round that never completes is superseded by the next
-    /// view change.
+    /// view change. A round is open while `pending_tables` is non-empty:
+    /// a movie-group view a server receives contains the server itself, so
+    /// each view opens a round, which closes exactly when the last table
+    /// arrives and rebalance_now() runs. (The one exception is an install
+    /// that reaches a handle whose join the view change overtook: if no
+    /// other server holds the movie, that view is empty and opens no round,
+    /// and the join's own view follows.)
     std::vector<net::NodeId> view_servers;
     std::uint64_t exchange_tag = 0;
     std::set<net::NodeId> pending_tables;
-    bool rebalance_pending = false;
     RebalanceSnapshot last_rebalance;
     /// Open requests delivered during a round, decided when it completes:
     /// until then the members' tables may differ.

@@ -91,12 +91,6 @@ void encode_into(const OpenRequest& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const OpenRequest& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<OpenRequest> decode_open_request(util::Datagram d) {
   auto r = body(d, MsgType::kOpenRequest);
   if (!r) return std::nullopt;
@@ -120,12 +114,6 @@ void encode_into(const OpenReply& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const OpenReply& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<OpenReply> decode_open_reply(util::Datagram d) {
   auto r = body(d, MsgType::kOpenReply);
   if (!r) return std::nullopt;
@@ -147,12 +135,6 @@ void encode_into(const Flow& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const Flow& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<Flow> decode_flow(util::Datagram d) {
   auto r = body(d, MsgType::kFlow);
   if (!r) return std::nullopt;
@@ -169,12 +151,6 @@ void encode_into(const Emergency& m, util::Writer& w) {
   w.u64(m.client_id);
   w.u8(m.tier);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Emergency& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Emergency> decode_emergency(util::Datagram d) {
@@ -196,12 +172,6 @@ void encode_into(const Vcr& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const Vcr& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<Vcr> decode_vcr(util::Datagram d) {
   auto r = body(d, MsgType::kVcr);
   if (!r) return std::nullopt;
@@ -219,12 +189,6 @@ void encode_into(const SetQuality& m, util::Writer& w) {
   w.u64(m.client_id);
   w.f64(m.fps);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const SetQuality& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<SetQuality> decode_set_quality(util::Datagram d) {
@@ -250,12 +214,6 @@ void encode_into(const StateSync& m, util::Writer& w) {
     w.u32(o.owner);
   }
   util::frame_seal(w);
-}
-
-util::Bytes encode(const StateSync& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<StateSync> decode_state_sync(util::Datagram d) {
@@ -290,12 +248,6 @@ void encode_into(const Frame& m, util::Writer& w) {
   w.u8(static_cast<std::uint8_t>(m.type));
   w.u32(m.size_bytes);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Frame& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Frame> decode_frame(util::Datagram d) {

@@ -115,8 +115,8 @@ inline constexpr std::size_t kFrameHeaderBytes =
 
 /// encode_into() clears `w` and encodes the message into it, reusing the
 /// writer's capacity — the allocation-free path for per-frame/per-tick
-/// senders that keep a long-lived scratch Writer. encode() is the
-/// convenience wrapper returning a fresh buffer.
+/// senders that keep a long-lived scratch Writer. encode() (util::encode)
+/// returns a fresh buffer.
 void encode_into(const OpenRequest& m, util::Writer& w);
 void encode_into(const OpenReply& m, util::Writer& w);
 void encode_into(const Flow& m, util::Writer& w);
@@ -126,14 +126,7 @@ void encode_into(const SetQuality& m, util::Writer& w);
 void encode_into(const StateSync& m, util::Writer& w);
 void encode_into(const Frame& m, util::Writer& w);
 
-util::Bytes encode(const OpenRequest& m);
-util::Bytes encode(const OpenReply& m);
-util::Bytes encode(const Flow& m);
-util::Bytes encode(const Emergency& m);
-util::Bytes encode(const Vcr& m);
-util::Bytes encode(const SetQuality& m);
-util::Bytes encode(const StateSync& m);
-util::Bytes encode(const Frame& m);
+using util::encode;
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data);
 std::optional<OpenRequest> decode_open_request(util::Datagram d);

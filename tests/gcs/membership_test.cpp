@@ -283,6 +283,39 @@ TEST(GcsMembership, RestoredHostRejoins) {
   EXPECT_EQ(h.daemon(0).view().members.size(), 2u);
 }
 
+TEST(GcsMembership, ProposeFromAnyoneButItsProposerIsIgnored) {
+  // A view's proposer is its coordinator, so a Propose is only taken from
+  // pv.coord: one sent from another host neither blocks the daemon nor
+  // draws an ack.
+  GcsHarness h(3);
+  h.start(0);
+  h.start(1);
+  ASSERT_TRUE(h.run_until_converged());
+  int acks = 0;
+  auto rogue = h.network().bind(
+      h.node(2), h.config().port,
+      [&](const net::Endpoint&, std::span<const std::byte> data) {
+        if (wire::peek_type(data) == wire::MsgType::kProposeAck) ++acks;
+      });
+  const ViewId before = h.daemon(1).view().id;
+  const util::Bytes propose = wire::encode(wire::Propose{
+      ViewId{before.counter + 1, h.node(0)}, {h.node(0), h.node(1)}});
+
+  rogue->send(net::Endpoint{h.node(1), h.config().port}, propose);
+  h.run_for(sim::msec(500));
+  EXPECT_EQ(acks, 0);
+  EXPECT_FALSE(h.daemon(1).blocked());
+  EXPECT_EQ(h.daemon(1).view().id, before);
+
+  // The same datagram from the proposer's host is a proposal.
+  auto from_coord = h.network().bind(h.node(0), h.config().port + 1,
+                                     [](const net::Endpoint&,
+                                        std::span<const std::byte>) {});
+  from_coord->send(net::Endpoint{h.node(1), h.config().port}, propose);
+  h.run_for(sim::msec(50));
+  EXPECT_TRUE(h.daemon(1).blocked());
+}
+
 class MembershipChurn : public ::testing::TestWithParam<unsigned> {};
 
 // Random crash/heal churn: after the dust settles, survivors converge and

@@ -266,6 +266,41 @@ TEST(Client, WatchWhileWatchingSwitchesTitlesCleanly) {
   EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
 }
 
+TEST(Client, RewatchDuringOpenBackoffDropsTheOldRetry) {
+  // Each watch() builds a session with timers of its own: the pending open
+  // retry of the session it replaces goes with that session.
+  VodTestBed bed(1, 1);
+  const VodParams p;
+  const double retry_s = sim::to_sec(p.open_retry);
+  bed.client().watch("nowhere");  // no server holds it: the open backs off
+  bed.run_for(0.5 * retry_s);
+  bed.client().watch("nowhere-else");
+  // The old retry fell due 1 to 1.25 retry delays after the first watch(),
+  // inside this run; the new one is a full delay after the second.
+  bed.run_for(retry_s - 0.001);
+  EXPECT_EQ(bed.client().control_stats().open_retries, 0u);
+  bed.run_for(0.3 * retry_s);
+  EXPECT_EQ(bed.client().control_stats().open_retries, 1u);
+}
+
+TEST(Client, RewatchDuringPlaybackDropsTheOldDeadline) {
+  // A playing session's deadline timer is always armed, at most a
+  // reconnect timeout ahead. A new session that never connects arms none,
+  // so any wakeup after watch() would be the old session's.
+  VodTestBed bed(1, 1);
+  bed.watch_all();
+  bed.run_for(10.0);
+  ASSERT_TRUE(bed.client().playing());
+  const auto wakeups = bed.client().control_stats().deadline_wakeups;
+  bed.client().watch("nowhere");
+  const VodParams p;
+  bed.run_for(2 * sim::to_sec(p.reconnect_timeout));
+  EXPECT_EQ(bed.client().control_stats().deadline_wakeups, wakeups);
+  EXPECT_FALSE(bed.client().connected());
+  EXPECT_TRUE(bed.client().prefill_watchdog_running());
+  EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
+}
+
 // A playing client's watchdog checks (reconnect deadline, display-progress
 // resync, emergency thresholds) run in its display ticks, which run lazily;
 // a deadline timer wakes the client at the first tick at which a check
