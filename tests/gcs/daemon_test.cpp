@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "gcs_harness.hpp"
 
@@ -28,6 +29,24 @@ TEST(GcsDaemon, SingleDaemonSelfDelivery) {
   ASSERT_EQ(lis.messages.size(), 1u);
   EXPECT_EQ(lis.messages[0].text, "hello");
   EXPECT_EQ(lis.messages[0].from, m->endpoint());
+}
+
+TEST(GcsDaemon, FirstViewIsItsOwnSingleton) {
+  // A daemon starts in the view {self} its constructor builds, unblocked,
+  // and orders for itself at once: no peer has to answer first.
+  GcsHarness h(2);
+  Daemon& d = h.start(1);
+  EXPECT_EQ(d.view().id, (ViewId{1, h.node(1)}));
+  EXPECT_EQ(d.view().members, std::vector<net::NodeId>{h.node(1)});
+  EXPECT_FALSE(d.blocked());
+
+  Listener lis;
+  auto m = d.join("g", lis.callbacks());
+  m->send(text_msg("solo"));
+  h.run_for(sim::msec(100));
+  ASSERT_EQ(lis.messages.size(), 1u);
+  EXPECT_EQ(lis.messages[0].text, "solo");
+  EXPECT_EQ(d.view().id, (ViewId{1, h.node(1)}));
 }
 
 TEST(GcsDaemon, CoordinatorDeliversNothingBeforeJoinOrSendReturns) {
@@ -197,6 +216,44 @@ TEST(GcsDaemon, NonMemberSendReachesGroup) {
   EXPECT_EQ(l0.messages[0].text, "request");
   EXPECT_EQ(l0.messages[0].from.node, h.node(1));
   EXPECT_EQ(l0.messages[0].from.local, 0u);  // non-member marker
+}
+
+TEST(GcsDaemon, SubmitFromOutsideTheViewIsNotOrdered) {
+  // The coordinator orders only for the members of its view: a Submit
+  // from a host outside it is dropped, the same one from a member is not.
+  GcsHarness h(3);
+  h.start(0);
+  h.start(1);
+  ASSERT_TRUE(h.run_until_converged());
+  const ViewId view = h.daemon(0).view().id;
+  const int coord = view.coord == h.node(0) ? 0 : 1;
+  const int member = 1 - coord;
+  Listener lis;
+  auto m = h.daemon(coord).join("g", lis.callbacks());
+  h.run_for(sim::sec(1));
+  const auto ordered = h.daemon(coord).stats().messages_ordered;
+
+  const auto submit_from = [&](int host, std::uint16_t port) {
+    auto sock = h.network().bind(
+        h.node(host), port,
+        [](const net::Endpoint&, std::span<const std::byte>) {});
+    wire::Submit s;
+    s.view = view;
+    s.sender_seq = 1;
+    s.group = "g";
+    s.origin = GcsEndpoint{h.node(host), 0};
+    s.payload = text_msg("forged");
+    sock->send(net::Endpoint{h.node(coord), h.config().port}, wire::encode(s));
+    h.run_for(sim::msec(200));
+  };
+  submit_from(2, h.config().port);
+  EXPECT_TRUE(lis.messages.empty());
+  EXPECT_EQ(h.daemon(coord).stats().messages_ordered, ordered);
+
+  submit_from(member, h.config().port + 1);
+  ASSERT_EQ(lis.messages.size(), 1u);
+  EXPECT_EQ(lis.messages[0].text, "forged");
+  EXPECT_EQ(h.daemon(coord).stats().messages_ordered, ordered + 1);
 }
 
 TEST(GcsDaemon, GroupsAreIsolated) {

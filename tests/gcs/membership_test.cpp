@@ -316,6 +316,45 @@ TEST(GcsMembership, ProposeFromAnyoneButItsProposerIsIgnored) {
   EXPECT_TRUE(h.daemon(1).blocked());
 }
 
+TEST(GcsMembership, PausedDaemonSendsNothingUntilResumed) {
+  // pause() stops every timer and keeps all state: the daemon falls
+  // silent, its peers exclude it, and resume() brings it back.
+  GcsHarness h(3);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  const ViewId before = h.daemon(2).view().id;
+  h.daemon(2).pause();
+  const auto sent = h.daemon(2).socket_stats().datagrams_sent;
+  h.run_for(sim::sec(2));
+  EXPECT_EQ(h.daemon(2).socket_stats().datagrams_sent, sent);
+  EXPECT_EQ(h.daemon(2).view().id, before);
+  EXPECT_EQ(h.daemon(0).view().members,
+            (std::vector<net::NodeId>{h.node(0), h.node(1)}));
+
+  h.daemon(2).resume();
+  ASSERT_TRUE(h.run_until_converged(sim::sec(5)));
+  EXPECT_EQ(h.daemon(0).view().members.size(), 3u);
+  EXPECT_GT(h.daemon(2).socket_stats().datagrams_sent, sent);
+}
+
+TEST(GcsMembership, PauseAndHaltStopEveryTimer) {
+  // pause() and halt() stop one list of timers: a lone daemon, which has
+  // no traffic in flight, leaves nothing scheduled behind either.
+  GcsHarness h(1);
+  Daemon& d = h.start(0);
+  Listener lis;
+  auto m = d.join("g", lis.callbacks());
+  h.run_for(sim::sec(1));
+  ASSERT_GT(h.scheduler().pending_events(), 0u);
+  d.pause();
+  EXPECT_EQ(h.scheduler().pending_events(), 0u);
+  d.resume();
+  EXPECT_GT(h.scheduler().pending_events(), 0u);
+  h.run_for(sim::sec(1));
+  d.halt();
+  EXPECT_EQ(h.scheduler().pending_events(), 0u);
+}
+
 class MembershipChurn : public ::testing::TestWithParam<unsigned> {};
 
 // Random crash/heal churn: after the dust settles, survivors converge and

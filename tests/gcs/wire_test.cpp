@@ -340,6 +340,39 @@ TEST(GcsWire, InstallRoundTrip) {
   EXPECT_EQ(d->submit_seqs[2], (std::pair<net::NodeId, std::uint64_t>{2, 55}));
 }
 
+TEST(GcsWire, EncodeIntoAUsedWriterMatchesAFreshEncode) {
+  // encode_into() clears the writer first: every message type encodes the
+  // same into a writer that already holds another message as
+  // encode() does into a fresh buffer.
+  util::Writer w;
+  const auto check = [&w](const auto& m) {
+    encode_into(m, w);
+    EXPECT_EQ(w.buffer(), encode(m));
+  };
+  Install install;
+  install.pv = {20, 0};
+  install.members = {0, 1, 2};
+  install.group_table = {{"movie.x", {1, 4}}, {"movie.y", {2, 1}}};
+  install.submit_seqs = {{0, 10}, {1, 1}, {2, 55}};
+  check(install);
+  check(Heartbeat{{7, 3}, {1, 3, 9}, 42, 40});
+  check(RetransReq{{7, 3}, 11, 19});
+  check(Propose{{12, 2}, {2, 4, 6}});
+  ProposeAck ack;
+  ack.pv = {12, 2};
+  ack.old_view = {11, 4};
+  ack.next_submit_seq = 5;
+  ack.regs = {{"g1", {2, 1}}};
+  check(ack);
+  FlushTarget ft;
+  ft.pv = {3, 1};
+  ft.entries = {{{2, 1}, {1, 4, 5}}};
+  check(ft);
+  check(FlushReq{{3, 1}, 41});
+  check(FlushReply{{3, 1}, 0, 1, 1190, {{1200, 0, true}}, {}});
+  check(FlushDone{{3, 1}, {4, 9}});
+}
+
 TEST(GcsWire, WrongTypeRejected) {
   Heartbeat hb;
   auto bytes = encode(hb);

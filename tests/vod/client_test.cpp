@@ -301,6 +301,42 @@ TEST(Client, RewatchDuringPlaybackDropsTheOldDeadline) {
   EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
 }
 
+TEST(Client, HostCrashKeepsTheSessionButStopsItsTimers) {
+  // A crashed client keeps its session, so its counters stay readable,
+  // but nothing of it runs any more: the display and deadline stop.
+  VodTestBed bed(1, 1);
+  bed.watch_all();
+  bed.run_for(10.0);
+  ASSERT_TRUE(bed.client().playing());
+  bed.deployment().crash(bed.client().node());
+  const auto displayed = bed.client().counters().displayed;
+  const auto wakeups = bed.client().control_stats().deadline_wakeups;
+  EXPECT_GT(displayed, 100u);
+  bed.run_for(5.0);
+  EXPECT_TRUE(bed.client().watching());
+  ASSERT_TRUE(bed.client().buffers().has_value());
+  EXPECT_EQ(bed.client().counters().displayed, displayed);
+  EXPECT_EQ(bed.client().control_stats().deadline_wakeups, wakeups);
+  // A halted client starts no new session either.
+  bed.client().watch("feature");
+  bed.run_for(2.0);
+  EXPECT_EQ(bed.client().counters().displayed, displayed);
+}
+
+TEST(Client, HostCrashDuringOpenBackoffStopsTheRetry) {
+  VodTestBed bed(1, 1);
+  const VodParams p;
+  const double retry_s = sim::to_sec(p.open_retry);
+  bed.client().watch("nowhere");  // no server holds it: the open backs off
+  bed.run_for(0.5 * retry_s);
+  ASSERT_TRUE(bed.client().prefill_watchdog_running());
+  bed.deployment().crash(bed.client().node());
+  bed.run_for(4 * retry_s);
+  EXPECT_TRUE(bed.client().watching());
+  EXPECT_FALSE(bed.client().prefill_watchdog_running());
+  EXPECT_EQ(bed.client().control_stats().open_retries, 0u);
+}
+
 // A playing client's watchdog checks (reconnect deadline, display-progress
 // resync, emergency thresholds) run in its display ticks, which run lazily;
 // a deadline timer wakes the client at the first tick at which a check

@@ -89,6 +89,29 @@ TEST(VodWire, FrameRoundTripAndHeaderSize) {
   EXPECT_EQ(d->size_bytes, 2800u);
 }
 
+TEST(VodWire, EncodeIntoAUsedWriterMatchesAFreshEncode) {
+  // encode_into() clears the writer first: every message type encodes the
+  // same into a writer that already holds another message as
+  // encode() does into a fresh buffer.
+  util::Writer w;
+  const auto check = [&w](const auto& m) {
+    encode_into(m, w);
+    EXPECT_EQ(w.buffer(), encode(m));
+  };
+  StateSync sync;
+  sync.movie = "m";
+  sync.clients = {{1, {2, 9100}, 555, 31.0, 0.0, 0.0, false},
+                  {2, {3, 9100}, 777, 29.0, 15.0, 15.0, true}};
+  check(sync);
+  check(OpenRequest{42, "casablanca", {3, 9100}, 15.0});
+  check(OpenReply{42, "casablanca", 30.0, 180'000, 5833});
+  check(Flow{7, -1});
+  check(Emergency{7, 2});
+  check(Vcr{9, VcrOp::kSeek, 12345});
+  check(SetQuality{});
+  check(Frame{88, 4242, mpeg::FrameType::kB, 2800});
+}
+
 TEST(VodWire, CrossDecodeRejected) {
   Flow m{7, +1};
   const auto bytes = encode(m);
