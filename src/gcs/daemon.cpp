@@ -240,7 +240,7 @@ void Daemon::on_datagram(const net::Endpoint& from,
   bool handled = false;
   switch (*type) {
     case wire::MsgType::kHeartbeat:
-      if (auto m = wire::decode_heartbeat(*opened)) {
+      if (auto m = wire::decode<wire::Heartbeat>(*opened)) {
         handle_heartbeat(peer, *m);
         handled = true;
       }
@@ -258,49 +258,49 @@ void Daemon::on_datagram(const net::Endpoint& from,
       }
       break;
     case wire::MsgType::kRetransReq:
-      if (auto m = wire::decode_retrans_req(*opened)) {
+      if (auto m = wire::decode<wire::RetransReq>(*opened)) {
         handle_retrans_req(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kPropose:
-      if (auto m = wire::decode_propose(*opened)) {
+      if (auto m = wire::decode<wire::Propose>(*opened)) {
         handle_propose(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kProposeAck:
-      if (auto m = wire::decode_propose_ack(*opened)) {
+      if (auto m = wire::decode<wire::ProposeAck>(*opened)) {
         handle_propose_ack(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kFlushTarget:
-      if (auto m = wire::decode_flush_target(*opened)) {
+      if (auto m = wire::decode<wire::FlushTarget>(*opened)) {
         handle_flush_target(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kFlushReq:
-      if (auto m = wire::decode_flush_req(*opened)) {
+      if (auto m = wire::decode<wire::FlushReq>(*opened)) {
         handle_flush_req(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kFlushReply:
-      if (auto m = wire::decode_flush_reply(*opened)) {
+      if (auto m = wire::decode<wire::FlushReply>(*opened)) {
         handle_flush_reply(peer, std::move(*m));
         handled = true;
       }
       break;
     case wire::MsgType::kFlushDone:
-      if (auto m = wire::decode_flush_done(*opened)) {
+      if (auto m = wire::decode<wire::FlushDone>(*opened)) {
         handle_flush_done(peer, *m);
         handled = true;
       }
       break;
     case wire::MsgType::kInstall:
-      if (auto m = wire::decode_install(*opened)) {
+      if (auto m = wire::decode<wire::Install>(*opened)) {
         handle_install(peer, *m);
         handled = true;
       }

@@ -461,8 +461,8 @@ void Daemon::handle_flush_req(net::NodeId from, const wire::FlushReq& m) {
     return parts.back();
   };
   for_each_held([&](const wire::Ordered& o, bool delivered) {
-    part_with_room(wire::kHeldBytes)
-        .held.push_back(wire::Held{o.gseq, o.sender_prev, delivered});
+    const wire::Held h{o.gseq, o.sender_prev, delivered};
+    part_with_room(wire::encoded_size(h)).held.push_back(h);
     if (o.gseq > m.horizon && o.addressed_to(from)) {
       part_with_room(wire::encoded_size(o)).msgs.push_back(o);
     }

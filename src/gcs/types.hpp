@@ -29,6 +29,11 @@ struct GcsEndpoint {
   auto operator<=>(const GcsEndpoint&) const = default;
 };
 
+template <class IO>
+void fields(IO& io, GcsEndpoint& e) {
+  io(e.node, e.local);
+}
+
 inline std::ostream& operator<<(std::ostream& os, const GcsEndpoint& e) {
   return os << "n" << e.node << "/" << e.local;
 }
@@ -40,6 +45,11 @@ struct ViewId {
 
   auto operator<=>(const ViewId&) const = default;
 };
+
+template <class IO>
+void fields(IO& io, ViewId& v) {
+  io(v.counter, v.coord);
+}
 
 inline std::ostream& operator<<(std::ostream& os, const ViewId& v) {
   return os << "v" << v.counter << "@" << v.coord;

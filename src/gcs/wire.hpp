@@ -1,7 +1,8 @@
-// Wire messages exchanged between GCS daemons. Every datagram is one
-// Envelope: the 8-byte integrity header (util/frame.hpp), a one-byte type
-// tag, then the message body. Decoders verify length + CRC32C before
-// reading a single field, so damaged datagrams behave exactly like loss.
+// Wire messages exchanged between GCS daemons. Every datagram is the 8-byte
+// integrity header (util/frame.hpp), a one-byte type tag, then the message
+// body. Each type's layout is its field list (util/codec.hpp), written once
+// beside it; decoders verify length + CRC32C before reading a single field,
+// so damaged datagrams behave exactly like loss.
 //
 // Submit and Ordered datagrams are batches: a u32 count, then that many
 // message bodies. A daemon batches what it submits within one event, and
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,11 +45,17 @@ enum class PayloadKind : std::uint8_t { kApp = 0, kJoin = 1, kLeave = 2 };
 
 /// Periodic liveness + state advertisement, sent to every configured peer.
 struct Heartbeat {
+  static constexpr MsgType kType = MsgType::kHeartbeat;
   ViewId view;
   std::vector<net::NodeId> members;
   std::uint64_t delivered_upto = 0;  // sender's horizon in `view`
   std::uint64_t safe_upto = 0;       // coordinator's stability horizon
 };
+
+template <class IO>
+void fields(IO& io, Heartbeat& m) {
+  io(m.view, m.members, m.delivered_upto, m.safe_upto);
+}
 
 /// Sender -> coordinator: please order this message.
 struct Submit {
@@ -58,6 +66,12 @@ struct Submit {
   GcsEndpoint origin;
   util::Bytes payload;
 };
+
+template <class IO>
+void fields(IO& io, Submit& m) {
+  io(m.view, m.sender_seq, m.kind, m.group, m.origin, m.payload);
+  io.check(m.kind <= PayloadKind::kLeave);
+}
 
 /// Coordinator -> the daemons in `dests`: message with a global sequence
 /// number. Every message goes to the daemons hosting a member of its group
@@ -92,40 +106,77 @@ struct Ordered {
   }
 };
 
+template <class IO>
+void fields(IO& io, Ordered& m) {
+  io(m.view, m.gseq, m.prev, m.dests, m.sender, m.sender_seq, m.sender_prev,
+     m.kind, m.group, m.origin, m.change_seq, m.members, m.payload);
+  // Only a join carries members, strictly ascending, and an application
+  // message no change number.
+  io.check(m.kind <= PayloadKind::kLeave);
+  io.check(m.kind == PayloadKind::kJoin || m.members.empty());
+  io.check(m.kind != PayloadKind::kApp || m.change_seq == 0);
+  io.check(std::ranges::adjacent_find(m.members, std::greater_equal{}) ==
+           m.members.end());
+}
+
 /// Ask the coordinator to re-send the ordered messages of `view` addressed
 /// to the asker with gseq in [from_gseq, to_gseq]. from_gseq - 1 is the
 /// asker's last delivered or held gseq, so it is the first re-sent copy's
 /// `prev`.
 struct RetransReq {
+  static constexpr MsgType kType = MsgType::kRetransReq;
   ViewId view;
   std::uint64_t from_gseq = 0;
   std::uint64_t to_gseq = 0;
 };
 
+template <class IO>
+void fields(IO& io, RetransReq& m) {
+  io(m.view, m.from_gseq, m.to_gseq);
+}
+
 /// Proposer -> candidate members: start a view change.
 struct Propose {
+  static constexpr MsgType kType = MsgType::kPropose;
   ViewId pv;  // id of the proposed view; pv.coord is the proposer
   std::vector<net::NodeId> members;
 };
+
+template <class IO>
+void fields(IO& io, Propose& m) {
+  io(m.pv, m.members);
+}
 
 struct GroupReg {
   std::string group;
   GcsEndpoint member;
 };
 
+template <class IO>
+void fields(IO& io, GroupReg& g) {
+  io(g.group, g.member);
+}
+
 /// Candidate -> proposer: I accept pv; this is the view I come from (my
 /// flush cluster) and what the new view needs from me.
 struct ProposeAck {
+  static constexpr MsgType kType = MsgType::kProposeAck;
   ViewId pv;
   ViewId old_view;
   std::uint64_t next_submit_seq = 0;  // lowest unordered submit I will resend
   std::vector<GroupReg> regs;         // my local group registrations
 };
 
+template <class IO>
+void fields(IO& io, ProposeAck& m) {
+  io(m.pv, m.old_view, m.next_submit_seq, m.regs);
+}
+
 /// Proposer -> candidates: the candidates grouped by the view each comes
 /// from. Survivors of one old view flush by exchanging messages among
 /// themselves (FlushReq / FlushReply).
 struct FlushTarget {
+  static constexpr MsgType kType = MsgType::kFlushTarget;
   ViewId pv;
   struct Entry {
     ViewId old_view;
@@ -134,12 +185,28 @@ struct FlushTarget {
   std::vector<Entry> entries;
 };
 
+template <class IO>
+void fields(IO& io, FlushTarget::Entry& e) {
+  io(e.old_view, e.survivors);
+}
+
+template <class IO>
+void fields(IO& io, FlushTarget& m) {
+  io(m.pv, m.entries);
+}
+
 /// Survivor -> each other survivor of its old view: send me your held
 /// messages' headers, and the messages addressed to me above my horizon.
 struct FlushReq {
+  static constexpr MsgType kType = MsgType::kFlushReq;
   ViewId pv;
   std::uint64_t horizon = 0;  // asker's last delivered gseq
 };
+
+template <class IO>
+void fields(IO& io, FlushReq& m) {
+  io(m.pv, m.horizon);
+}
 
 /// Header of a message a survivor holds (delivered, retained or held back).
 struct Held {
@@ -147,8 +214,11 @@ struct Held {
   std::uint64_t sender_prev = 0;
   bool delivered = false;  // the holder has delivered it
 };
-/// Encoded size of one Held.
-inline constexpr std::size_t kHeldBytes = 8 + 8 + 1;
+
+template <class IO>
+void fields(IO& io, Held& h) {
+  io(h.gseq, h.sender_prev, h.delivered);
+}
 
 /// One part of the answer to a FlushReq. The answer lists the headers of
 /// every message the answerer holds, so all survivors settle the same cut,
@@ -156,6 +226,7 @@ inline constexpr std::size_t kHeldBytes = 8 + 8 + 1;
 /// is meaningless here; the flush delivers by gseq). It is split into
 /// `parts` datagrams; the asker is done with a peer once it has them all.
 struct FlushReply {
+  static constexpr MsgType kType = MsgType::kFlushReply;
   ViewId pv;
   std::uint32_t part = 0;
   std::uint32_t parts = 1;
@@ -164,19 +235,32 @@ struct FlushReply {
   std::vector<Ordered> msgs;
 };
 
+template <class IO>
+void fields(IO& io, FlushReply& m) {
+  io(m.pv, m.part, m.parts, m.safe_upto, m.held, m.msgs);
+  io.check(m.part < m.parts);
+}
+
 /// Candidate -> proposer: I have every answer from my old view's survivors
 /// and deliver the settled messages when the new view installs, or I gave
 /// up on the survivors in `dropped`, which the failure detector suspects;
 /// the proposer then re-proposes without them.
 struct FlushDone {
+  static constexpr MsgType kType = MsgType::kFlushDone;
   ViewId pv;
   std::vector<net::NodeId> dropped;
 };
+
+template <class IO>
+void fields(IO& io, FlushDone& m) {
+  io(m.pv, m.dropped);
+}
 
 /// Proposer -> members: install the new view with the full group table.
 /// Each member keeps the groups it has a local registration in; the new
 /// coordinator routes from all of it.
 struct Install {
+  static constexpr MsgType kType = MsgType::kInstall;
   ViewId pv;
   std::vector<net::NodeId> members;
   std::vector<GroupReg> group_table;
@@ -185,21 +269,23 @@ struct Install {
   std::vector<std::pair<net::NodeId, std::uint64_t>> submit_seqs;
 };
 
-/// encode_into() clears `w` and encodes into it, reusing the writer's
-/// capacity — the allocation-free path for the daemon's per-peer sends
-/// (heartbeats every interval). encode() (util::encode) returns a fresh
-/// buffer; a single Submit or Ordered encodes as a batch of one.
-void encode_into(const Heartbeat& m, util::Writer& w);
-void encode_into(const RetransReq& m, util::Writer& w);
-void encode_into(const Propose& m, util::Writer& w);
-void encode_into(const ProposeAck& m, util::Writer& w);
-void encode_into(const FlushTarget& m, util::Writer& w);
-void encode_into(const FlushReq& m, util::Writer& w);
-void encode_into(const FlushReply& m, util::Writer& w);
-void encode_into(const FlushDone& m, util::Writer& w);
-void encode_into(const Install& m, util::Writer& w);
+template <class IO>
+void fields(IO& io, Install& m) {
+  io(m.pv, m.members, m.group_table, m.submit_seqs);
+}
 
+/// The generic message codec (util/frame.hpp): encode_into() clears `w`
+/// and encodes into it, reusing the writer's capacity — the allocation-free
+/// path for the daemon's per-peer sends (heartbeats every interval).
+/// encode() returns a fresh buffer; decode<M>() returns nullopt on any
+/// malformed input, from a raw datagram or one frame_open() already
+/// verified (see util::Datagram). encoded_size() is a value's body size.
+using util::decode;
 using util::encode;
+using util::encode_into;
+using util::encoded_size;
+
+/// A single Submit or Ordered encodes as a batch of one.
 util::Bytes encode(const Submit& m);
 util::Bytes encode(const Ordered& m);
 util::Bytes encode(const std::vector<Submit>& batch);
@@ -210,8 +296,6 @@ util::Bytes encode(const std::vector<Ordered>& batch);
 /// appended copy, for patch_prev(). encoded_size() is what one append adds,
 /// so a batch can be closed before a message would overflow a datagram.
 void begin_batch(util::Writer& w, MsgType type);
-std::size_t encoded_size(const Submit& m);
-std::size_t encoded_size(const Ordered& m);
 std::size_t append(util::Writer& w, const Submit& m);
 std::size_t append(util::Writer& w, const Ordered& m);
 /// Encodes an Ordered body alone (no frame, no tag) into `body`, to be
@@ -223,20 +307,17 @@ void patch_prev(util::Writer& w, std::size_t at, std::uint64_t prev);
 void seal_batch(util::Writer& w);
 
 /// Peeks the type tag; nullopt for an empty/garbage datagram.
-std::optional<MsgType> peek_type(std::span<const std::byte> data);
+inline std::optional<MsgType> peek_type(std::span<const std::byte> data) {
+  return util::peek_tag(data, MsgType::kHeartbeat, MsgType::kFlushReply);
+}
 
-// Decoders return nullopt on any malformed input. They take a raw datagram
-// or one frame_open() already verified (see util::Datagram).
-std::optional<Heartbeat> decode_heartbeat(util::Datagram data);
-std::optional<std::vector<Submit>> decode_submit(util::Datagram data);
-std::optional<std::vector<Ordered>> decode_ordered(util::Datagram data);
-std::optional<RetransReq> decode_retrans_req(util::Datagram data);
-std::optional<Propose> decode_propose(util::Datagram data);
-std::optional<ProposeAck> decode_propose_ack(util::Datagram data);
-std::optional<FlushTarget> decode_flush_target(util::Datagram data);
-std::optional<FlushReq> decode_flush_req(util::Datagram data);
-std::optional<FlushReply> decode_flush_reply(util::Datagram data);
-std::optional<FlushDone> decode_flush_done(util::Datagram data);
-std::optional<Install> decode_install(util::Datagram data);
+/// Batch decoders: nullopt on any malformed input, or an empty batch.
+inline std::optional<std::vector<Submit>> decode_submit(util::Datagram data) {
+  return util::decode_batch<Submit>(data, MsgType::kSubmit);
+}
+inline std::optional<std::vector<Ordered>> decode_ordered(
+    util::Datagram data) {
+  return util::decode_batch<Ordered>(data, MsgType::kOrdered);
+}
 
 }  // namespace ftvod::gcs::wire

@@ -38,9 +38,6 @@ class Recorder {
     auto it = series_.find(name);
     return it == series_.end() ? nullptr : &it->second;
   }
-  [[nodiscard]] const std::map<std::string, TimeSeries>& all_series() const {
-    return series_;
-  }
 
   void clear() {
     counters_.clear();

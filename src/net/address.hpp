@@ -21,6 +21,11 @@ struct Endpoint {
   [[nodiscard]] bool valid() const { return node != kInvalidNode; }
 };
 
+template <class IO>
+void fields(IO& io, Endpoint& e) {
+  io(e.node, e.port);
+}
+
 inline std::ostream& operator<<(std::ostream& os, const Endpoint& e) {
   return os << "n" << e.node << ":" << e.port;
 }

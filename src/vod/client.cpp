@@ -111,7 +111,7 @@ void VodClient::on_session_message(const gcs::GcsEndpoint& from,
     ++control_stats_.malformed_dropped;
     return;
   }
-  const auto reply = wire::decode_open_reply(d);
+  const auto reply = wire::decode<wire::OpenReply>(d);
   if (!reply || reply->client_id != client_id_) {
     ++control_stats_.malformed_dropped;
     return;
@@ -159,7 +159,7 @@ void VodClient::on_datagram(const net::Endpoint& from,
     ++control_stats_.malformed_dropped;
     return;
   }
-  if (const auto f = wire::decode_frame(*opened)) {
+  if (const auto f = wire::decode<wire::Frame>(*opened)) {
     if (f->client_id == client_id_) on_frame(*f);
   } else {
     ++control_stats_.malformed_dropped;

@@ -210,7 +210,6 @@ void PlacementController::tick_now() {
       sn->server->remove_movie(op.title);
     }
   }
-  quiet_ticks_ = ops.empty() ? quiet_ticks_ + 1 : 0;
 }
 
 void PlacementController::handle_restart(net::NodeId node) {

@@ -76,7 +76,6 @@ class PlacementModel {
   /// they stop counting toward availability until they come back).
   [[nodiscard]] const std::vector<net::NodeId>& replicas(
       const std::string& title) const;
-  [[nodiscard]] std::size_t title_count() const { return titles_.size(); }
   /// Desired replicas held per node (load-balance metric).
   [[nodiscard]] std::size_t load(net::NodeId node) const;
   [[nodiscard]] const PlacementConfig& config() const { return cfg_; }
@@ -134,8 +133,6 @@ class PlacementController {
 
   [[nodiscard]] const PlacementModel& model() const { return model_; }
   [[nodiscard]] const PlacementStats& stats() const { return stats_; }
-  /// Consecutive ticks without any op (convergence signal for benchmarks).
-  [[nodiscard]] std::uint64_t quiet_ticks() const { return quiet_ticks_; }
 
  private:
   void collect_demand(std::map<std::string, std::size_t>& out) const;
@@ -150,7 +147,6 @@ class PlacementController {
   std::function<void(std::map<std::string, std::size_t>&)> demand_source_;
   sim::PeriodicTimer timer_;
   PlacementStats stats_;
-  std::uint64_t quiet_ticks_ = 0;
 };
 
 }  // namespace ftvod::vod

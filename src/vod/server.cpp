@@ -131,7 +131,7 @@ void VodServer::on_server_group_message(const gcs::GcsEndpoint& from,
     ++stats_.malformed_dropped;
     return;
   }
-  if (auto req = wire::decode_open_request(data)) {
+  if (auto req = wire::decode<wire::OpenRequest>(data)) {
     handle_open_request(*req);
   } else {
     ++stats_.malformed_dropped;
@@ -210,7 +210,7 @@ void VodServer::on_movie_group_message(const std::string& movie,
     ++stats_.malformed_dropped;
     return;
   }
-  if (auto sync = wire::decode_state_sync(data)) {
+  if (auto sync = wire::decode<wire::StateSync>(data)) {
     if (sync->movie == movie) {
       apply_state_sync(from.node, *sync);
     } else {
@@ -469,7 +469,7 @@ void VodServer::on_session_message(std::uint64_t client_id,
 
   switch (*type) {
     case wire::MsgType::kFlow: {
-      const auto m = wire::decode_flow(data);
+      const auto m = wire::decode<wire::Flow>(data);
       if (!m || m->client_id != client_id) {
         ++stats_.malformed_dropped;
         return;
@@ -482,7 +482,7 @@ void VodServer::on_session_message(std::uint64_t client_id,
       break;
     }
     case wire::MsgType::kEmergency: {
-      const auto m = wire::decode_emergency(data);
+      const auto m = wire::decode<wire::Emergency>(data);
       if (!m || m->client_id != client_id) {
         ++stats_.malformed_dropped;
         return;
@@ -509,7 +509,7 @@ void VodServer::on_session_message(std::uint64_t client_id,
       break;
     }
     case wire::MsgType::kVcr: {
-      const auto m = wire::decode_vcr(data);
+      const auto m = wire::decode<wire::Vcr>(data);
       if (!m || m->client_id != client_id) {
         ++stats_.malformed_dropped;
         return;
@@ -536,7 +536,7 @@ void VodServer::on_session_message(std::uint64_t client_id,
       break;
     }
     case wire::MsgType::kSetQuality: {
-      const auto m = wire::decode_set_quality(data);
+      const auto m = wire::decode<wire::SetQuality>(data);
       if (!m || m->client_id != client_id) {
         ++stats_.malformed_dropped;
         return;

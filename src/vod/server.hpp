@@ -221,11 +221,6 @@ class VodServer {
   [[nodiscard]] double effective_rate(const Session& s) const;
   [[nodiscard]] Session* find_session(std::uint64_t client_id);
   [[nodiscard]] const Session* find_session(std::uint64_t client_id) const;
-  /// Runs f for every live session (any movie).
-  template <typename F>
-  void for_each_session(F&& f) {
-    for (const auto& [id, slot] : session_index_) f(id, *session_slab_[slot]);
-  }
 
   sim::Scheduler* sched_;
   net::Network* net_;

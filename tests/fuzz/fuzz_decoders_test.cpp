@@ -150,7 +150,7 @@ std::vector<FuzzTarget> gcs_targets() {
                  m.safe_upto = rand_u64(rng);
                  return encode(m);
                },
-               checker(decode_heartbeat,
+               checker(decode<Heartbeat>,
                        [](const Heartbeat& m) { return encode(m); })});
   t.push_back({"gcs.submit",
                [](util::Rng& rng) {
@@ -208,7 +208,7 @@ std::vector<FuzzTarget> gcs_targets() {
                  m.to_gseq = rand_u64(rng);
                  return encode(m);
                },
-               checker(decode_retrans_req,
+               checker(decode<RetransReq>,
                        [](const RetransReq& m) { return encode(m); })});
   t.push_back({"gcs.propose",
                [](util::Rng& rng) {
@@ -220,7 +220,7 @@ std::vector<FuzzTarget> gcs_targets() {
                  }
                  return encode(m);
                },
-               checker(decode_propose,
+               checker(decode<Propose>,
                        [](const Propose& m) { return encode(m); })});
   t.push_back({"gcs.propose_ack",
                [](util::Rng& rng) {
@@ -234,7 +234,7 @@ std::vector<FuzzTarget> gcs_targets() {
                  }
                  return encode(m);
                },
-               checker(decode_propose_ack,
+               checker(decode<ProposeAck>,
                        [](const ProposeAck& m) { return encode(m); })});
   t.push_back({"gcs.flush_target",
                [](util::Rng& rng) {
@@ -246,13 +246,13 @@ std::vector<FuzzTarget> gcs_targets() {
                  }
                  return encode(m);
                },
-               checker(decode_flush_target,
+               checker(decode<FlushTarget>,
                        [](const FlushTarget& m) { return encode(m); })});
   t.push_back({"gcs.flush_req",
                [](util::Rng& rng) {
                  return encode(FlushReq{rand_view(rng), rand_u64(rng)});
                },
-               checker(decode_flush_req,
+               checker(decode<FlushReq>,
                        [](const FlushReq& m) { return encode(m); })});
   t.push_back({"gcs.flush_reply",
                [](util::Rng& rng) {
@@ -273,7 +273,7 @@ std::vector<FuzzTarget> gcs_targets() {
                  }
                  return encode(m);
                },
-               checker(decode_flush_reply,
+               checker(decode<FlushReply>,
                        [](const FlushReply& m) { return encode(m); })});
   t.push_back({"gcs.flush_done",
                [](util::Rng& rng) {
@@ -282,7 +282,7 @@ std::vector<FuzzTarget> gcs_targets() {
                  m.dropped = rand_nodes(rng, 4);
                  return encode(m);
                },
-               checker(decode_flush_done,
+               checker(decode<FlushDone>,
                        [](const FlushDone& m) { return encode(m); })});
   t.push_back({"gcs.install",
                [](util::Rng& rng) {
@@ -302,7 +302,7 @@ std::vector<FuzzTarget> gcs_targets() {
                  }
                  return encode(m);
                },
-               checker(decode_install,
+               checker(decode<Install>,
                        [](const Install& m) { return encode(m); })});
   return t;
 }
@@ -319,7 +319,7 @@ std::vector<FuzzTarget> vod_targets() {
                  m.capability_fps = rng.uniform(0.0, 120.0);
                  return encode(m);
                },
-               checker(decode_open_request,
+               checker(decode<OpenRequest>,
                        [](const OpenRequest& m) { return encode(m); })});
   t.push_back({"vod.open_reply",
                [](util::Rng& rng) {
@@ -332,7 +332,7 @@ std::vector<FuzzTarget> vod_targets() {
                      static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 20));
                  return encode(m);
                },
-               checker(decode_open_reply,
+               checker(decode<OpenReply>,
                        [](const OpenReply& m) { return encode(m); })});
   t.push_back({"vod.flow",
                [](util::Rng& rng) {
@@ -341,7 +341,7 @@ std::vector<FuzzTarget> vod_targets() {
                  m.delta = rng.bernoulli(0.5) ? 1 : -1;
                  return encode(m);
                },
-               checker(decode_flow, [](const Flow& m) { return encode(m); })});
+               checker(decode<Flow>, [](const Flow& m) { return encode(m); })});
   t.push_back({"vod.emergency",
                [](util::Rng& rng) {
                  Emergency m;
@@ -349,7 +349,7 @@ std::vector<FuzzTarget> vod_targets() {
                  m.tier = rng.bernoulli(0.5) ? 1 : 2;
                  return encode(m);
                },
-               checker(decode_emergency,
+               checker(decode<Emergency>,
                        [](const Emergency& m) { return encode(m); })});
   t.push_back({"vod.vcr",
                [](util::Rng& rng) {
@@ -359,7 +359,7 @@ std::vector<FuzzTarget> vod_targets() {
                  m.seek_frame = rand_u64(rng);
                  return encode(m);
                },
-               checker(decode_vcr, [](const Vcr& m) { return encode(m); })});
+               checker(decode<Vcr>, [](const Vcr& m) { return encode(m); })});
   t.push_back({"vod.set_quality",
                [](util::Rng& rng) {
                  SetQuality m;
@@ -367,7 +367,7 @@ std::vector<FuzzTarget> vod_targets() {
                  m.fps = rng.uniform(0.0, 120.0);
                  return encode(m);
                },
-               checker(decode_set_quality,
+               checker(decode<SetQuality>,
                        [](const SetQuality& m) { return encode(m); })});
   t.push_back({"vod.state_sync",
                [](util::Rng& rng) {
@@ -396,7 +396,7 @@ std::vector<FuzzTarget> vod_targets() {
                  }
                  return encode(m);
                },
-               checker(decode_state_sync,
+               checker(decode<StateSync>,
                        [](const StateSync& m) { return encode(m); })});
   t.push_back({"vod.frame",
                [](util::Rng& rng) {
@@ -408,7 +408,7 @@ std::vector<FuzzTarget> vod_targets() {
                      static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 20));
                  return encode(m);
                },
-               checker(decode_frame,
+               checker(decode<Frame>,
                        [](const Frame& m) { return encode(m); })});
   return t;
 }

@@ -256,6 +256,46 @@ TEST(GcsDaemon, SubmitFromOutsideTheViewIsNotOrdered) {
   EXPECT_EQ(h.daemon(coord).stats().messages_ordered, ordered + 1);
 }
 
+TEST(GcsDaemon, SubmitWithUnknownKindIsNotOrdered) {
+  // A Submit whose kind no daemon knows is malformed at the coordinator.
+  // Ordered, it would poison every batch that carried it: each destination
+  // rejects the whole datagram, and a re-send is the same datagram.
+  GcsHarness h(3);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  const ViewId view = h.daemon(0).view().id;
+  int coord = 0;
+  while (h.node(coord) != view.coord) ++coord;
+  const int member = (coord + 1) % 3;
+  const int idle = (coord + 2) % 3;
+  Listener lis;
+  auto m = h.daemon(member).join("g", lis.callbacks());
+  h.run_for(sim::sec(1));
+  const auto ordered = h.daemon(coord).stats().messages_ordered;
+  const auto malformed = h.daemon(coord).stats().malformed_dropped;
+
+  auto sock = h.network().bind(
+      h.node(idle), h.config().port + 1,
+      [](const net::Endpoint&, std::span<const std::byte>) {});
+  wire::Submit s;
+  s.view = view;
+  s.sender_seq = 1;
+  s.kind = static_cast<wire::PayloadKind>(3);
+  s.group = "g";
+  s.origin = GcsEndpoint{h.node(idle), 0};
+  s.payload = text_msg("forged");
+  sock->send(net::Endpoint{h.node(coord), h.config().port}, wire::encode(s));
+  h.run_for(sim::msec(200));
+  EXPECT_EQ(h.daemon(coord).stats().messages_ordered, ordered);
+  EXPECT_EQ(h.daemon(coord).stats().malformed_dropped, malformed + 1);
+
+  // The group's order goes on: a later message still reaches the member.
+  h.daemon(idle).send_to_group("g", text_msg("after"));
+  h.run_for(sim::sec(1));
+  ASSERT_EQ(lis.messages.size(), 1u);
+  EXPECT_EQ(lis.messages[0].text, "after");
+}
+
 TEST(GcsDaemon, GroupsAreIsolated) {
   GcsHarness h(2);
   h.start_all();

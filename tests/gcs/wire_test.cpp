@@ -15,7 +15,7 @@ TEST(GcsWire, HeartbeatRoundTrip) {
   m.safe_upto = 40;
   auto bytes = encode(m);
   EXPECT_EQ(peek_type(bytes), MsgType::kHeartbeat);
-  auto d = decode_heartbeat(bytes);
+  auto d = decode<Heartbeat>(bytes);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->view, m.view);
   EXPECT_EQ(d->members, m.members);
@@ -232,7 +232,7 @@ TEST(GcsWire, ProposeAndAckRoundTrip) {
   Propose p;
   p.pv = {12, 2};
   p.members = {2, 4, 6};
-  auto dp = decode_propose(encode(p));
+  auto dp = decode<Propose>(encode(p));
   ASSERT_TRUE(dp.has_value());
   EXPECT_EQ(dp->pv, p.pv);
   EXPECT_EQ(dp->members, p.members);
@@ -242,7 +242,7 @@ TEST(GcsWire, ProposeAndAckRoundTrip) {
   a.old_view = {11, 4};
   a.next_submit_seq = 5;
   a.regs = {{"g1", {2, 1}}, {"g2", {2, 3}}};
-  auto da = decode_propose_ack(encode(a));
+  auto da = decode<ProposeAck>(encode(a));
   ASSERT_TRUE(da.has_value());
   EXPECT_EQ(da->old_view, a.old_view);
   ASSERT_EQ(da->regs.size(), 2u);
@@ -254,7 +254,7 @@ TEST(GcsWire, FlushMessagesRoundTrip) {
   FlushTarget ft;
   ft.pv = {3, 1};
   ft.entries = {{{2, 1}, {1, 4, 5}}, {{1, 7}, {7}}, {{1, 9}, {}}};
-  auto dft = decode_flush_target(encode(ft));
+  auto dft = decode<FlushTarget>(encode(ft));
   ASSERT_TRUE(dft.has_value());
   ASSERT_EQ(dft->entries.size(), 3u);
   EXPECT_EQ(dft->entries[0].old_view, (ViewId{2, 1}));
@@ -264,7 +264,7 @@ TEST(GcsWire, FlushMessagesRoundTrip) {
   EXPECT_EQ(encode(*dft), encode(ft));
 
   FlushDone fd{{3, 1}, {4, 9}};
-  auto dfd = decode_flush_done(encode(fd));
+  auto dfd = decode<FlushDone>(encode(fd));
   ASSERT_TRUE(dfd.has_value());
   EXPECT_EQ(dfd->dropped, fd.dropped);
   EXPECT_EQ(encode(*dfd), encode(fd));
@@ -273,7 +273,7 @@ TEST(GcsWire, FlushMessagesRoundTrip) {
 TEST(GcsWire, FlushExchangeRoundTrip) {
   const FlushReq req{{3, 1}, 41};
   EXPECT_EQ(peek_type(encode(req)), MsgType::kFlushReq);
-  auto dreq = decode_flush_req(encode(req));
+  auto dreq = decode<FlushReq>(encode(req));
   ASSERT_TRUE(dreq.has_value());
   EXPECT_EQ(dreq->pv, req.pv);
   EXPECT_EQ(dreq->horizon, 41u);
@@ -288,7 +288,7 @@ TEST(GcsWire, FlushExchangeRoundTrip) {
   reply.msgs[1].gseq = 1300;
   const util::Bytes reply_bytes = encode(reply);
   EXPECT_EQ(peek_type(reply_bytes), MsgType::kFlushReply);
-  auto drep = decode_flush_reply(reply_bytes);
+  auto drep = decode<FlushReply>(reply_bytes);
   ASSERT_TRUE(drep.has_value());
   EXPECT_EQ(drep->pv, reply.pv);
   EXPECT_EQ(drep->part, 1u);
@@ -306,12 +306,12 @@ TEST(GcsWire, FlushExchangeRoundTrip) {
   EXPECT_EQ(encode(*drep), reply_bytes);
   // A reply is not an Ordered, and the other way round.
   EXPECT_EQ(decode_ordered(reply_bytes), std::nullopt);
-  EXPECT_EQ(decode_flush_reply(encode(sample_ordered())), std::nullopt);
+  EXPECT_EQ(decode<FlushReply>(encode(sample_ordered())), std::nullopt);
 
   // A part past the count, or a header flag other than 0/1, is malformed.
   FlushReply bad = reply;
   bad.part = 3;
-  EXPECT_EQ(decode_flush_reply(encode(bad)), std::nullopt);
+  EXPECT_EQ(decode<FlushReply>(encode(bad)), std::nullopt);
   util::Writer w;
   encode_into(FlushReply{{3, 1}, 0, 1, 0, {{5, 4, true}}, {}}, w);
   util::Bytes flag = w.take();
@@ -322,7 +322,7 @@ TEST(GcsWire, FlushExchangeRoundTrip) {
   resealed.raw(std::span<const std::byte>(flag).subspan(
       util::kIntegrityHeaderBytes));
   util::frame_seal(resealed);
-  EXPECT_EQ(decode_flush_reply(resealed.buffer()), std::nullopt);
+  EXPECT_EQ(decode<FlushReply>(resealed.buffer()), std::nullopt);
 }
 
 TEST(GcsWire, InstallRoundTrip) {
@@ -331,7 +331,7 @@ TEST(GcsWire, InstallRoundTrip) {
   m.members = {0, 1, 2};
   m.group_table = {{"movie.x", {1, 4}}};
   m.submit_seqs = {{0, 10}, {1, 1}, {2, 55}};
-  auto d = decode_install(encode(m));
+  auto d = decode<Install>(encode(m));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->members, m.members);
   ASSERT_EQ(d->group_table.size(), 1u);
@@ -377,7 +377,7 @@ TEST(GcsWire, WrongTypeRejected) {
   Heartbeat hb;
   auto bytes = encode(hb);
   EXPECT_EQ(decode_submit(bytes), std::nullopt);
-  EXPECT_EQ(decode_install(bytes), std::nullopt);
+  EXPECT_EQ(decode<Install>(bytes), std::nullopt);
 }
 
 TEST(GcsWire, TruncatedRejected) {
@@ -396,7 +396,7 @@ TEST(GcsWire, TrailingGarbageRejected) {
   FlushDone fd{{1, 1}, {2}};
   auto bytes = encode(fd);
   bytes.push_back(std::byte{0});
-  EXPECT_EQ(decode_flush_done(bytes), std::nullopt);
+  EXPECT_EQ(decode<FlushDone>(bytes), std::nullopt);
 }
 
 TEST(GcsWire, PeekTypeOnGarbage) {

@@ -159,7 +159,7 @@ TEST(SchedulerSlab, FrameSendPathAllocationFree) {
   std::uint64_t frames_received = 0;
   auto client_sock = net.bind(
       client, 2, [&](const net::Endpoint&, std::span<const std::byte> d) {
-        if (vod::wire::decode_frame(d)) ++frames_received;
+        if (vod::wire::decode<vod::wire::Frame>(d)) ++frames_received;
       });
   auto server_sock = net.bind(server, 1, nullptr);
 
@@ -204,7 +204,7 @@ TEST(SchedulerSlab, FrameReceivePathAllocationFree) {
   auto client_sock = net.bind(
       client, 2, [&](const net::Endpoint&, std::span<const std::byte> d) {
         if (!util::frame_open(d)) return;
-        if (const auto f = vod::wire::decode_frame(d)) {
+        if (const auto f = vod::wire::decode<vod::wire::Frame>(d)) {
           buffers.insert(mpeg::FrameInfo{f->frame_index, f->type,
                                          f->size_bytes});
         }

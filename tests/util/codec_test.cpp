@@ -99,6 +99,38 @@ TEST(Codec, ExtremeValues) {
   EXPECT_EQ(r.f64(), -0.0);
 }
 
+TEST(Codec, ListCountBeyondTheRemainingBytesFailsBeforeReserving) {
+  // Three u32 elements need 12 bytes; 8 follow the count.
+  Writer w;
+  w.u32(3);
+  w.u64(0);
+  const Bytes bytes = w.buffer();
+  Reader r(bytes);
+  std::vector<std::uint32_t> v;
+  r(v);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(v.capacity(), 0u);
+
+  // Two fit, and read back.
+  Writer two;
+  two(std::vector<std::uint32_t>{7, 9});
+  Reader ok(two.buffer());
+  ok(v);
+  EXPECT_TRUE(ok.done());
+  EXPECT_EQ(v, (std::vector<std::uint32_t>{7, 9}));
+}
+
+TEST(Codec, BoolFieldIsZeroOrOne) {
+  for (const std::uint8_t byte : {0, 1, 2, 255}) {
+    const Bytes bytes{std::byte{byte}};
+    Reader r(bytes);
+    bool b = false;
+    r(b);
+    EXPECT_EQ(r.done(), byte <= 1) << int{byte};
+    EXPECT_EQ(b, byte == 1);
+  }
+}
+
 class CodecFuzz : public ::testing::TestWithParam<unsigned> {};
 
 // Random byte strings must never crash the reader and must preserve the

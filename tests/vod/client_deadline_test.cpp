@@ -288,7 +288,7 @@ class ClientRig {
         server_group_name(),
         gcs::GroupCallbacks{
             [this](const gcs::GcsEndpoint&, std::span<const std::byte> d) {
-              const auto req = wire::decode_open_request(d);
+              const auto req = wire::decode<wire::OpenRequest>(d);
               if (!req || req->client_id != client_->client_id()) return;
               session_->send(wire::encode(
                   wire::OpenReply{req->client_id, kMovie, 30.0,

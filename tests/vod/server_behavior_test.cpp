@@ -402,7 +402,7 @@ class ScriptedPeer {
             [this](const gcs::GcsEndpoint& from,
                    std::span<const std::byte> d) {
               if (!member_ || from == member_->endpoint()) return;
-              const auto sync = wire::decode_state_sync(d);
+              const auto sync = wire::decode<wire::StateSync>(d);
               if (sync && sync->exchange_tag != 0 &&
                   sync->exchange_tag != round_) {
                 round_ = sync->exchange_tag;

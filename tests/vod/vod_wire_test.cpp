@@ -7,7 +7,7 @@ namespace {
 
 TEST(VodWire, OpenRequestRoundTrip) {
   OpenRequest m{42, "casablanca", {3, 9100}, 15.0};
-  auto d = decode_open_request(encode(m));
+  auto d = decode<OpenRequest>(encode(m));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->client_id, 42u);
   EXPECT_EQ(d->movie, "casablanca");
@@ -17,7 +17,7 @@ TEST(VodWire, OpenRequestRoundTrip) {
 
 TEST(VodWire, OpenReplyRoundTrip) {
   OpenReply m{42, "casablanca", 30.0, 180'000, 5833};
-  auto d = decode_open_reply(encode(m));
+  auto d = decode<OpenReply>(encode(m));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->frame_count, 180'000u);
   EXPECT_EQ(d->avg_frame_bytes, 5833u);
@@ -26,7 +26,7 @@ TEST(VodWire, OpenReplyRoundTrip) {
 TEST(VodWire, FlowRoundTripBothDirections) {
   for (std::int8_t delta : {std::int8_t{+1}, std::int8_t{-1}}) {
     Flow m{7, delta};
-    auto d = decode_flow(encode(m));
+    auto d = decode<Flow>(encode(m));
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->delta, delta);
   }
@@ -35,7 +35,7 @@ TEST(VodWire, FlowRoundTripBothDirections) {
 TEST(VodWire, EmergencyTiers) {
   for (std::uint8_t tier : {1, 2}) {
     Emergency m{7, tier};
-    auto d = decode_emergency(encode(m));
+    auto d = decode<Emergency>(encode(m));
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->tier, tier);
   }
@@ -44,7 +44,7 @@ TEST(VodWire, EmergencyTiers) {
 TEST(VodWire, VcrOps) {
   for (VcrOp op : {VcrOp::kPause, VcrOp::kResume, VcrOp::kSeek, VcrOp::kStop}) {
     Vcr m{9, op, 12345};
-    auto d = decode_vcr(encode(m));
+    auto d = decode<Vcr>(encode(m));
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->op, op);
     EXPECT_EQ(d->seek_frame, 12345u);
@@ -59,7 +59,7 @@ TEST(VodWire, StateSyncRoundTrip) {
       {2, {3, 9100}, 777, 29.0, 15.0, 15.0, true},
   };
   m.orphans = {{{3, {4, 9100}, 888, 30.0, 0.0, 0.0, false}, 17}};
-  auto d = decode_state_sync(encode(m));
+  auto d = decode<StateSync>(encode(m));
   ASSERT_TRUE(d.has_value());
   ASSERT_EQ(d->clients.size(), 2u);
   EXPECT_EQ(d->clients[0].next_frame, 555u);
@@ -73,7 +73,7 @@ TEST(VodWire, StateSyncRoundTrip) {
 TEST(VodWire, EmptyStateSync) {
   StateSync m;
   m.movie = "empty";
-  auto d = decode_state_sync(encode(m));
+  auto d = decode<StateSync>(encode(m));
   ASSERT_TRUE(d.has_value());
   EXPECT_TRUE(d->clients.empty());
 }
@@ -81,8 +81,8 @@ TEST(VodWire, EmptyStateSync) {
 TEST(VodWire, FrameRoundTripAndHeaderSize) {
   Frame m{88, 4242, mpeg::FrameType::kB, 2800};
   const auto bytes = encode(m);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytes);
-  auto d = decode_frame(bytes);
+  EXPECT_EQ(bytes.size(), util::kIntegrityHeaderBytes + 1 + 8 + 8 + 1 + 4);
+  auto d = decode<Frame>(bytes);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->frame_index, 4242u);
   EXPECT_EQ(d->type, mpeg::FrameType::kB);
@@ -115,8 +115,8 @@ TEST(VodWire, EncodeIntoAUsedWriterMatchesAFreshEncode) {
 TEST(VodWire, CrossDecodeRejected) {
   Flow m{7, +1};
   const auto bytes = encode(m);
-  EXPECT_EQ(decode_vcr(bytes), std::nullopt);
-  EXPECT_EQ(decode_frame(bytes), std::nullopt);
+  EXPECT_EQ(decode<Vcr>(bytes), std::nullopt);
+  EXPECT_EQ(decode<Frame>(bytes), std::nullopt);
   EXPECT_EQ(peek_type(bytes), MsgType::kFlow);
 }
 
@@ -126,13 +126,13 @@ TEST(VodWire, TruncationRejected) {
   m.clients.resize(3);
   auto bytes = encode(m);
   bytes.resize(bytes.size() / 2);
-  EXPECT_EQ(decode_state_sync(bytes), std::nullopt);
+  EXPECT_EQ(decode<StateSync>(bytes), std::nullopt);
 }
 
 TEST(VodWire, GarbageRejected) {
   util::Bytes junk{std::byte{99}, std::byte{1}, std::byte{2}};
   EXPECT_EQ(peek_type(junk), std::nullopt);
-  EXPECT_EQ(decode_open_request(junk), std::nullopt);
+  EXPECT_EQ(decode<OpenRequest>(junk), std::nullopt);
 }
 
 }  // namespace
