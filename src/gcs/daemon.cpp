@@ -111,7 +111,7 @@ Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
                               std::span<const std::byte> data) {
                          on_datagram(from, data);
                        });
-  net_->on_crash(self_, [this] { halt(); });
+  socket_->on_crash([this] { halt(); });
 
   // Stagger heartbeats slightly per node so daemons created at the same
   // virtual instant do not tick in perfect lockstep.

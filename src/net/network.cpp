@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -111,10 +112,11 @@ void Network::crash_host(NodeId node) {
   Host& h = hosts_[node];
   h.alive = false;
   util::log_info(kLog, "host ", h.name, " (n", node, ") crashed");
-  // Listeners may re-register during iteration; work on a copy.
-  auto listeners = std::move(h.crash_listeners);
-  h.crash_listeners.clear();
-  for (auto& fn : listeners) fn();
+  for (std::size_t i = 0; i < h.sockets.size(); ++i) {
+    if (auto hook = std::exchange(h.sockets[i].second->crash_hook_, nullptr)) {
+      hook();
+    }
+  }
 }
 
 void Network::restore_host(NodeId node) {
@@ -142,23 +144,29 @@ void Network::restore_host(NodeId node) {
 
 bool Network::alive(NodeId node) const { return hosts_.at(node).alive; }
 
-void Network::on_crash(NodeId node, std::function<void()> listener) {
-  hosts_.at(node).crash_listeners.push_back(std::move(listener));
-}
-
 const HostStats& Network::stats(NodeId node) const {
   return hosts_.at(node).stats;
 }
 
+std::size_t Network::size_class(std::size_t bytes) {
+  const std::size_t units = (std::max<std::size_t>(bytes, 1) - 1) /
+                            kSmallestClassBytes;
+  return std::min<std::size_t>(std::bit_width(units), kSizeClasses - 1);
+}
+
 Network::PayloadBuffer* Network::acquire_buffer(
     std::span<const std::byte> payload) {
+  const std::size_t c = size_class(payload.size());
+  std::vector<PayloadBuffer*>& free = buffer_free_[c];
   PayloadBuffer* b;
-  if (!buffer_free_.empty()) {
-    b = buffer_free_.back();
-    buffer_free_.pop_back();
+  if (!free.empty()) {
+    b = free.back();
+    free.pop_back();
   } else {
     buffer_slab_.push_back(std::make_unique<PayloadBuffer>());
     b = buffer_slab_.back().get();
+    b->bytes.reserve(kSmallestClassBytes << c);
+    b->size_class = static_cast<std::uint8_t>(c);
   }
   b->bytes.assign(payload.begin(), payload.end());  // reuses capacity
   b->refs = 0;
@@ -168,7 +176,7 @@ Network::PayloadBuffer* Network::acquire_buffer(
 void Network::release_ref(PayloadBuffer* data) {
   if (--data->refs == 0) {
     data->bytes.clear();
-    buffer_free_.push_back(data);
+    buffer_free_[data->size_class].push_back(data);
   }
 }
 

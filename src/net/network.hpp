@@ -11,6 +11,7 @@
 // WAN testbeds (DESIGN.md §2).
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <set>
@@ -81,8 +82,8 @@ class Network {
   void heal();
 
   /// Silent fail-stop: in-flight and future traffic to/from the host is
-  /// dropped, and registered crash listeners fire (so co-located protocol
-  /// stacks stop their timers).
+  /// dropped, and the crash hooks of the host's sockets fire, once each in
+  /// bind order (so co-located protocol stacks stop their timers).
   void crash_host(NodeId node);
   void restore_host(NodeId node);
   [[nodiscard]] bool alive(NodeId node) const;
@@ -91,9 +92,6 @@ class Network {
   /// (a host always reaches itself while alive). Exposed so monitors can
   /// condition liveness expectations on actual connectivity.
   [[nodiscard]] bool reachable(NodeId a, NodeId b) const;
-
-  /// Registers a callback invoked when `node` crashes.
-  void on_crash(NodeId node, std::function<void()> listener);
 
   [[nodiscard]] const HostStats& stats(NodeId node) const;
   [[nodiscard]] std::uint64_t total_wire_bytes() const {
@@ -132,20 +130,27 @@ class Network {
     /// Bound sockets. A host binds one to three ports, so a linear scan
     /// of this list beats hashing on every delivery.
     std::vector<std::pair<Port, Socket*>> sockets;
-    std::vector<std::function<void()>> crash_listeners;
     HostStats stats;
   };
 
   /// In-flight payload storage. Buffers are pooled and intrusively
   /// refcounted: each datagram copy in flight holds one reference, and the
-  /// buffer returns to the free list — capacity intact — when the last
-  /// copy is dispatched or dropped. This keeps the per-packet path free of
-  /// heap allocations in steady state (no shared_ptr control blocks, no
-  /// fresh byte vectors).
+  /// buffer returns to its size class's free list when the last copy is
+  /// dispatched or dropped. This keeps the per-packet path free of heap
+  /// allocations in steady state (no shared_ptr control blocks, no fresh
+  /// byte vectors). A buffer is reserved at its class's size when created
+  /// and only carries payloads of that class, so a 30-byte frame never
+  /// holds the capacity of a 64 KB GCS batch. The top class takes anything
+  /// larger and may grow; the GCS's largest batch (65,507 bytes) fits it.
   struct PayloadBuffer {
     util::Bytes bytes;
     std::uint32_t refs = 0;
+    std::uint8_t size_class = 0;
   };
+  /// Power-of-two size classes from 64 B to 64 KiB.
+  static constexpr std::size_t kSmallestClassBytes = 64;
+  static constexpr std::size_t kSizeClasses = 11;
+  [[nodiscard]] static std::size_t size_class(std::size_t bytes);
 
   /// One datagram copy from send to hand-off, in the recycled `in_flight_`
   /// slab. Its one scheduler event fires at its first bit plus the
@@ -210,7 +215,7 @@ class Network {
   std::uint32_t implicit_component_ = 0;
   std::vector<std::uint32_t> component_;
   std::vector<std::unique_ptr<PayloadBuffer>> buffer_slab_;
-  std::vector<PayloadBuffer*> buffer_free_;
+  std::array<std::vector<PayloadBuffer*>, kSizeClasses> buffer_free_;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   std::vector<InFlight> in_flight_;
   std::uint32_t in_flight_free_ = kNoSlot;

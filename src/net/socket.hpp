@@ -44,6 +44,11 @@ class Socket {
   [[nodiscard]] Endpoint local() const { return local_; }
   [[nodiscard]] const SocketStats& stats() const { return stats_; }
 
+  /// Runs `hook` once, when this socket's host crashes, so the protocol
+  /// stack that owns the socket stops its timers. The hook lives and dies
+  /// with the socket: an owner that is torn down cannot be called.
+  void on_crash(std::function<void()> hook) { crash_hook_ = std::move(hook); }
+
   /// Records a datagram discarded for failing integrity verification. The
   /// network cannot count this itself — damage is only detectable above the
   /// socket, where the framing layer checks the checksum.
@@ -57,6 +62,7 @@ class Socket {
   Network* net_;
   Endpoint local_;
   RecvHandler handler_;
+  std::function<void()> crash_hook_;
   SocketStats stats_;
 };
 

@@ -33,7 +33,7 @@ VodClient::VodClient(sim::Scheduler& sched, net::Network& net,
                                    std::span<const std::byte> d) {
                               on_datagram(from, d);
                             });
-  net_->on_crash(node_, [this] {
+  data_socket_->on_crash([this] {
     if (session_) advance_to(sched_->now());
     halted_ = true;
     if (!session_) return;

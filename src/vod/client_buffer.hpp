@@ -104,9 +104,12 @@ class ClientBuffers {
       : sw_capacity_(sw_capacity_frames),
         hw_capacity_bytes_(hw_capacity_bytes),
         avg_frame_bytes_(avg_frame_bytes == 0 ? 1 : avg_frame_bytes) {
-    // Twice the capacity leaves room for the displayed prefix, so it is
-    // erased about once per buffer's worth of frames.
-    frames_.reserve(2 * total_capacity_frames());
+    // The live region (decoder plus software stage) stays near the
+    // capacity in frames, so that plus a little slack is all the array
+    // needs: the displayed prefix is erased about once per kSlackFrames
+    // displayed frames. A live region that outgrows the reservation (a
+    // decoder holding many frames smaller than the mean) grows the array.
+    frames_.reserve(total_capacity_frames() + kSlackFrames);
   }
 
   /// A frame arrived from the network. Returns true when an overflow
@@ -149,6 +152,8 @@ class ClientBuffers {
   }
 
  private:
+  static constexpr std::size_t kSlackFrames = 16;
+
   /// One display period at `c`. Returns false on starvation.
   bool step(Cursor& c) const;
   /// Streams the software head into the decoder while it fits.

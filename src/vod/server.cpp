@@ -36,7 +36,7 @@ VodServer::VodServer(sim::Scheduler& sched, net::Network& net,
             on_server_group_message(from, d);
           },
           nullptr});
-  net_->on_crash(daemon_->self(), [this] { halt(); });
+  data_socket_->on_crash([this] { halt(); });
   // De-correlate the sync phases across servers: real deployments never
   // tick in lockstep, and the takeover staleness the paper measures (frames
   // "transmitted by both servers") comes precisely from this phase offset.

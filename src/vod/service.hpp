@@ -140,12 +140,14 @@ class Deployment {
 
   /// Crash recovery ("restart-after-crash"): brings the host back and
   /// starts a brand-new server process with a fresh GCS daemon on it. The
-  /// old incarnation's state is gone — exactly a reboot. The caller must
-  /// re-add the movies (their bits survived on disk). No-op with nullptr
-  /// result when the node never ran a server.
+  /// old incarnation's state is gone — exactly a reboot, so a host that is
+  /// still up is crashed first. The caller must re-add the movies (their
+  /// bits survived on disk). No-op with nullptr result when the node never
+  /// ran a server.
   ServerNode* restart_server(net::NodeId node) {
     ServerNode* sn = find_server(node);
     if (sn == nullptr) return nullptr;
+    crash(node);  // no-op on a host that is already down
     stop_server(node);
     net_.restore_host(node);
     sn->daemon = std::make_unique<gcs::Daemon>(sched_, net_, node, gcs_cfg_);

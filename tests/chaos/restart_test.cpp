@@ -83,5 +83,25 @@ TEST(ChaosRestart, RestartedServerAttractsLoadAndSurvivesRecrash) {
   EXPECT_TRUE(monitor.ok()) << monitor.report();
 }
 
+TEST(ChaosRestart, RestartOfALiveHostThenCrashReachesOnlyTheNewServer) {
+  // Restarting a server whose host never crashed frees the old daemon and
+  // server. A later crash of the host must halt the new incarnation and
+  // call nothing of the old one.
+  vod::Deployment dep(17);
+  const net::NodeId host = dep.add_host("s0");
+  dep.start_server(host);
+  dep.run_for(sim::sec(1.0));
+  vod::Deployment::ServerNode* sn = dep.restart_server(host);
+  ASSERT_NE(sn, nullptr);
+  ASSERT_TRUE(dep.network().alive(host));
+  EXPECT_FALSE(sn->daemon->halted());
+  EXPECT_FALSE(sn->server->halted());
+  dep.run_for(sim::sec(1.0));
+  dep.crash(host);
+  EXPECT_TRUE(sn->daemon->halted());
+  EXPECT_TRUE(sn->server->halted());
+  dep.run_for(sim::sec(1.0));
+}
+
 }  // namespace
 }  // namespace ftvod::testing

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/log.hpp"
 
 namespace ftvod::net {
@@ -177,15 +179,31 @@ TEST_F(NetworkTest, CrashDropsInFlightPackets) {
 }
 
 TEST_F(NetworkTest, CrashListenersFire) {
+  auto sa = net_.bind(a_, 5, nullptr);
   bool fired = false;
-  net_.on_crash(a_, [&] { fired = true; });
+  sa->on_crash([&] { fired = true; });
   net_.crash_host(a_);
   EXPECT_TRUE(fired);
   // Idempotent: second crash does not re-fire.
   bool fired2 = false;
-  net_.on_crash(a_, [&] { fired2 = true; });
+  sa->on_crash([&] { fired2 = true; });
   net_.crash_host(a_);
   EXPECT_FALSE(fired2);
+}
+
+TEST_F(NetworkTest, CrashHooksFireInBindOrderAndDieWithTheirSocket) {
+  std::vector<int> order;
+  auto s1 = net_.bind(a_, 1, nullptr);
+  auto s2 = net_.bind(a_, 2, nullptr);
+  auto s3 = net_.bind(a_, 3, nullptr);
+  auto other = net_.bind(b_, 1, nullptr);
+  s3->on_crash([&] { order.push_back(3); });
+  s1->on_crash([&] { order.push_back(1); });
+  s2->on_crash([&] { order.push_back(2); });
+  other->on_crash([&] { order.push_back(-1); });
+  s2.reset();  // its owner is gone: nothing may call into it
+  net_.crash_host(a_);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST_F(NetworkTest, RestoreAllowsTrafficAgain) {

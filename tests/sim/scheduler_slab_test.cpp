@@ -1,16 +1,21 @@
 // Property tests for the slab scheduler: handle safety across slot
 // recycling, tombstone semantics, and counting-allocator proofs that the
 // steady-state paths (timer re-arm loop; frame encode + network send; frame
-// receive into the client buffers + display) stay off the heap once warm.
+// receive into the client buffers + display) stay off the heap once warm,
+// that the network's payload pool stays bounded when payload sizes mix, and
+// that the paper-sized client buffers never outgrow their reservation.
 // The binary overrides the global allocator to count every allocation,
 // including any hidden inside std::function or shared_ptr — a regression
 // that reintroduces per-event allocations fails these tests, not just the
 // benchmark.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "mpeg/movie.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -24,6 +29,7 @@
 // skipped.
 #include "testing/counting_alloc.hpp"
 
+using ftvod::testing::alloc_bytes;
 using ftvod::testing::alloc_count;
 using ftvod::testing::kCountingAlloc;
 
@@ -239,6 +245,84 @@ TEST(SchedulerSlab, FrameReceivePathAllocationFree) {
   EXPECT_GT(after.overflow_discards, before.overflow_discards);
   if (kCountingAlloc) {
     EXPECT_EQ(alloc_count - allocs_before, 0u);
+  }
+}
+
+TEST(SchedulerSlab, PayloadPoolStaysBoundedUnderMixedSizes) {
+  // Tiny datagrams with an occasional large one, over a jittered link so
+  // buffers return to the pool out of order. A pool that lets every buffer
+  // keep the largest payload it ever carried hands the large capacity on
+  // to ever more small payloads, and the large sends keep allocating.
+  Scheduler sched;
+  util::Rng rng(3);
+  net::Network net(sched, rng);
+  net::LinkQuality q;
+  q.jitter = msec(2);
+  net.set_default_quality(q);
+  const net::NodeId a = net.add_host("a");
+  const net::NodeId b = net.add_host("b");
+  std::uint64_t received = 0;
+  auto sink = net.bind(
+      b, 2, [&](const net::Endpoint&, std::span<const std::byte>) {
+        ++received;
+      });
+  auto source = net.bind(a, 1, nullptr);
+  const std::vector<std::byte> small(30);
+  const std::vector<std::byte> large(40'000);
+
+  OneShotTimer timer(sched);
+  std::uint64_t sent = 0;
+  std::function<void()> tick = [&] {
+    source->send(net::Endpoint{b, 2}, ++sent % 500 == 0 ? large : small);
+    timer.arm(usec(50), [&] { tick(); });
+  };
+  timer.arm(usec(50), [&] { tick(); });
+
+  sched.run_until(sched.now() + sec(1.0));  // warmup
+  const std::uint64_t bytes_before = alloc_bytes;
+  const std::uint64_t received_before = received;
+  sched.run_until(sched.now() + sec(19.0));
+  EXPECT_GT(received, received_before + 300'000);
+  if (kCountingAlloc) {
+    EXPECT_LT(alloc_bytes - bytes_before, 64u * 1024);
+  }
+}
+
+TEST(SchedulerSlab, PaperSizedClientBuffersAllocateOnlyTheirReservation) {
+  // Ten minutes of the paper's movie into the paper's buffers (a 37-frame
+  // software buffer, a 240 KB decoder) while the display drains one frame
+  // per 30 fps period. Arrivals alternate 10 s spells 40 % faster and 20 %
+  // slower than the display, so the software stage fills, overflows and
+  // drains again; about one in ten frames overtakes its predecessor and
+  // one in fifty arrives twice. The array's construction-time reservation
+  // must hold the whole run: that reservation is the one allocation.
+  const auto movie = mpeg::Movie::synthetic("paper", 700.0);
+  util::Rng rng(5);
+  const std::uint64_t allocs_before = alloc_count;
+  vod::ClientBuffers buffers(37, 240 * 1024, movie->avg_frame_bytes());
+  std::array<std::uint64_t, 2> unsent{0, 1};  // the next two, ascending
+  std::uint64_t next_unsent = 2;
+  const auto arrive = [&] {
+    const std::size_t pick = rng.bernoulli(0.1) ? 1 : 0;
+    const mpeg::FrameInfo frame = movie->frame(unsent[pick]);
+    unsent[pick] = next_unsent++;
+    if (unsent[0] > unsent[1]) std::swap(unsent[0], unsent[1]);
+    buffers.insert(frame);
+    if (rng.bernoulli(0.02)) buffers.insert(frame);
+  };
+  for (int tick = 0; tick < 600 * 30; ++tick) {
+    const bool fast = tick / 300 % 2 == 0;
+    if (fast || rng.bernoulli(0.8)) arrive();
+    if (fast && rng.bernoulli(0.4)) arrive();
+    (void)buffers.consume();
+  }
+  const std::uint64_t allocs = alloc_count - allocs_before;
+  const vod::BufferCounters c = buffers.view().counters();
+  EXPECT_GT(c.displayed, 17'000u);
+  EXPECT_GT(c.late, 100u);
+  EXPECT_GT(c.overflow_discards, 100u);
+  if (kCountingAlloc) {
+    EXPECT_EQ(allocs, 1u);
   }
 }
 
