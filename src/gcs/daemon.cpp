@@ -98,12 +98,12 @@ Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
       max_counter_seen_(1),
       outbox_timer_(sched),
       accepted_pv_(epoch_.view.id),
-      heartbeat_timer_(sched, cfg_.heartbeat_interval,
+      heartbeat_timer_(sched, kHeartbeatInterval,
                        [this] { on_heartbeat_timer(); }),
-      fd_timer_(sched, cfg_.fd_check_interval, [this] { on_fd_check(); }),
-      resubmit_timer_(sched, cfg_.resubmit_interval,
+      fd_timer_(sched, kFdCheckInterval, [this] { on_fd_check(); }),
+      resubmit_timer_(sched, kResubmitInterval,
                       [this] { flush_pending_submits(); }),
-      nack_timer_(sched, cfg_.nack_delay, [this] { maybe_nack(); }),
+      nack_timer_(sched, kNackDelay, [this] { maybe_nack(); }),
       propose_retry_timer_(sched),
       rescue_timer_(sched) {
   socket_ = net_->bind(self_, cfg_.port,
@@ -115,16 +115,16 @@ Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
 
   // Stagger heartbeats slightly per node so daemons created at the same
   // virtual instant do not tick in perfect lockstep.
-  heartbeat_timer_.start(cfg_.heartbeat_interval + sim::usec(self_ * 7));
-  fd_timer_.start(cfg_.fd_check_interval + sim::usec(self_ * 11));
+  heartbeat_timer_.start(kHeartbeatInterval + sim::usec(self_ * 7));
+  fd_timer_.start(kFdCheckInterval + sim::usec(self_ * 11));
   resubmit_timer_.start();
   // Spread the daemons' NACK ticks over the whole period: a loss burst at
   // the coordinator leaves gaps at every daemon at once, and ticks in
   // lockstep would return all their requests, and so all the repairs, in
   // one burst that overruns the coordinator's uplink again.
   const double phase = std::fmod(self_ * 0.6180339887, 1.0);
-  nack_timer_.start(cfg_.nack_delay +
-                    static_cast<sim::Duration>(phase * cfg_.nack_delay));
+  nack_timer_.start(kNackDelay +
+                    static_cast<sim::Duration>(phase * kNackDelay));
 }
 
 Daemon::~Daemon() {
@@ -171,7 +171,7 @@ void Daemon::resume() {
   resubmit_timer_.start();
   nack_timer_.start();
   if (blocked()) {
-    rescue_timer_.arm(cfg_.blocked_rescue, [this] { on_blocked_rescue(); });
+    rescue_timer_.arm(kBlockedRescue, [this] { on_blocked_rescue(); });
   }
   util::log_info(kLog, "daemon n", self_, " resumed");
 }

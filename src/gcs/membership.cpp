@@ -156,7 +156,7 @@ void Daemon::consider_view_change() {
     if (!suspected(m)) candidate.push_back(m);
   }
   if (have_foreign) {
-    if (now - last_proposal_time_ < cfg_.merge_backoff) return;
+    if (now - last_proposal_time_ < kMergeBackoff) return;
     for (const auto& [node, p] : peers_) {
       if (!p.foreign) continue;
       if (!p.suspect) candidate.push_back(node);
@@ -164,7 +164,7 @@ void Daemon::consider_view_change() {
         if (!suspected(m)) candidate.push_back(m);
       }
     }
-  } else if (now - last_proposal_time_ < cfg_.propose_retry) {
+  } else if (now - last_proposal_time_ < kProposeRetry) {
     return;
   }
   candidate = sorted_unique(std::move(candidate));
@@ -208,7 +208,7 @@ void Daemon::start_proposal(std::vector<net::NodeId> members) {
   for (net::NodeId m : proposal_->members) {
     if (m != self_) send_to(m, bytes);
   }
-  propose_retry_timer_.arm(cfg_.propose_retry, [this] { on_propose_retry(); });
+  propose_retry_timer_.arm(kProposeRetry, [this] { on_propose_retry(); });
   maybe_enter_flush_phase();
 }
 
@@ -243,7 +243,7 @@ void Daemon::maybe_enter_flush_phase() {
     if (m != self_) send_to(m, bytes);
   }
   handle_flush_target(self_, ft);
-  propose_retry_timer_.arm(cfg_.propose_retry, [this] { on_propose_retry(); });
+  propose_retry_timer_.arm(kProposeRetry, [this] { on_propose_retry(); });
 }
 
 void Daemon::handle_flush_done(net::NodeId from, const wire::FlushDone& m) {
@@ -301,7 +301,7 @@ void Daemon::build_and_send_install() {
 void Daemon::schedule_install_resend() {
   if (install_resends_left_ <= 0 || !pending_install_) return;
   --install_resends_left_;
-  propose_retry_timer_.arm(cfg_.propose_retry, [this] {
+  propose_retry_timer_.arm(kProposeRetry, [this] {
     if (!pending_install_ || halted_) return;
     const util::Bytes bytes = wire::encode(*pending_install_);
     for (net::NodeId m : pending_install_->members) {
@@ -330,7 +330,7 @@ void Daemon::on_propose_retry() {
       if (!proposal_->flush_done.contains(m)) send_to(m, bytes);
     }
   }
-  propose_retry_timer_.arm(cfg_.propose_retry, [this] { on_propose_retry(); });
+  propose_retry_timer_.arm(kProposeRetry, [this] { on_propose_retry(); });
 }
 
 void Daemon::abandon_unresponsive_and_retry() {
@@ -375,7 +375,7 @@ void Daemon::handle_propose(net::NodeId from, const wire::Propose& m) {
     accepted_pv_ = m.pv;
     last_proposed_members_ = m.members;
     if (flush_ && flush_->pv != m.pv) flush_.reset();
-    rescue_timer_.arm(cfg_.blocked_rescue, [this] { on_blocked_rescue(); });
+    rescue_timer_.arm(kBlockedRescue, [this] { on_blocked_rescue(); });
   }
   wire::ProposeAck ack;
   ack.pv = m.pv;
@@ -630,7 +630,7 @@ void Daemon::on_blocked_rescue() {
     last_proposal_time_ = -1'000'000'000;
     start_proposal(std::move(candidate));
   } else {
-    rescue_timer_.arm(cfg_.blocked_rescue, [this] { on_blocked_rescue(); });
+    rescue_timer_.arm(kBlockedRescue, [this] { on_blocked_rescue(); });
   }
 }
 

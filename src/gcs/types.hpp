@@ -81,14 +81,25 @@ struct GcsConfig {
   std::vector<net::NodeId> peers;
   net::Port port = 700;
 
-  sim::Duration heartbeat_interval = sim::msec(75);
+  /// Silence after which the failure detector suspects a peer.
   sim::Duration suspect_timeout = sim::msec(400);
-  sim::Duration fd_check_interval = sim::msec(50);
-  sim::Duration resubmit_interval = sim::msec(100);
-  sim::Duration nack_delay = sim::msec(30);
-  sim::Duration propose_retry = sim::msec(200);
-  sim::Duration merge_backoff = sim::msec(300);
-  sim::Duration blocked_rescue = sim::msec(1500);
 };
+
+// The daemon's fixed protocol periods and delays.
+/// Between two heartbeats of a daemon.
+inline constexpr sim::Duration kHeartbeatInterval = sim::msec(75);
+/// Between two failure-detector sweeps over the peers.
+inline constexpr sim::Duration kFdCheckInterval = sim::msec(50);
+/// Between two re-sends of the submits not yet ordered.
+inline constexpr sim::Duration kResubmitInterval = sim::msec(100);
+/// Between two NACK ticks: a gap older than one tick is asked for.
+inline constexpr sim::Duration kNackDelay = sim::msec(30);
+/// Between two re-sends of an unanswered proposal, flush request or
+/// install, and the least time between two proposals.
+inline constexpr sim::Duration kProposeRetry = sim::msec(200);
+/// Minimum time between proposals that merge a foreign view.
+inline constexpr sim::Duration kMergeBackoff = sim::msec(300);
+/// A daemon blocked on a proposal this long suspects the proposer.
+inline constexpr sim::Duration kBlockedRescue = sim::msec(1500);
 
 }  // namespace ftvod::gcs

@@ -280,9 +280,9 @@ void ChaosInjector::arm() {
   for (auto& sn : dep_->servers()) {
     if (!sn->server) continue;
     std::vector<std::shared_ptr<const mpeg::Movie>> movies;
-    for (const std::string& title : sn->server->catalog().titles()) {
-      movies.push_back(sn->server->catalog().find(title));
-    }
+    sn->server->for_each_movie([&](const vod::VodServer::HeldMovie& held) {
+      movies.push_back(held.movie);
+    });
     catalog_snapshot_[sn->node] = std::move(movies);
   }
   sim::Scheduler& sched = dep_->scheduler();

@@ -173,7 +173,7 @@ std::size_t PlacementController::reconcile(
     if (sn == nullptr || !sn->server) continue;
     for (const auto& [title, movie] : managed_) {
       if (contains_sorted(model_.replicas(title), node) &&
-          !sn->server->catalog().contains(title)) {
+          !sn->server->holds(title)) {
         sn->server->add_movie(movie);
         ++restored;
         util::log_info(kLog, "re-registered '", title, "' on n", node,

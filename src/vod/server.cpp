@@ -84,14 +84,8 @@ const VodServer::Session* VodServer::find_session(
   return it == session_index_.end() ? nullptr : session_slab_[it->second].get();
 }
 
-std::size_t VodServer::session_count(const std::string& movie) const {
-  const auto it = movies_.find(movie);
-  return it == movies_.end() ? 0 : it->second->local_sessions.size();
-}
-
 void VodServer::add_movie(std::shared_ptr<const mpeg::Movie> movie) {
   const std::string name = movie->name();
-  catalog_.add(movie);
   if (movies_.contains(name)) return;
   auto ms = std::make_unique<MovieState>();
   ms->movie = std::move(movie);
@@ -111,7 +105,6 @@ void VodServer::add_movie(std::shared_ptr<const mpeg::Movie> movie) {
 }
 
 void VodServer::remove_movie(const std::string& name) {
-  catalog_.remove(name);
   auto it = movies_.find(name);
   if (it == movies_.end()) return;
   // Close local sessions for this movie; survivors will adopt the clients
@@ -360,10 +353,7 @@ void VodServer::rebalance_now(MovieState& ms) {
 const RebalanceSnapshot* VodServer::rebalance_snapshot(
     const std::string& movie) const {
   auto it = movies_.find(movie);
-  if (it == movies_.end() || it->second->last_rebalance.exchange_tag == 0) {
-    return nullptr;
-  }
-  return &it->second->last_rebalance;
+  return it == movies_.end() ? nullptr : it->second->rebalanced();
 }
 
 bool VodServer::rebalance_pending(const std::string& movie) const {

@@ -1,10 +1,12 @@
-// The VoD server (§3, §5). One per host. Movies are added to its catalog on
-// the fly; for each movie it joins the movie group and shares its clients'
-// positions every sync period. On every movie-group view change the
-// surviving servers deterministically re-distribute the clients
-// (redistribution.hpp) and the new owner of a client simply joins the
-// client's session group and resumes transmission from the last-synced
-// offset — the client never learns which server is sending.
+// The VoD server (§3, §5). One per host. Movies are added to it on the fly;
+// adding one models that its bits are present locally (the paper assumes a
+// separate replication mechanism for the video material itself). For each
+// movie it joins the movie group and shares its clients' positions every
+// sync period. On every movie-group view change the surviving servers
+// deterministically re-distribute the clients (redistribution.hpp) and the
+// new owner of a client simply joins the client's session group and resumes
+// transmission from the last-synced offset — the client never learns which
+// server is sending.
 #pragma once
 
 #include <algorithm>
@@ -17,7 +19,7 @@
 #include <vector>
 
 #include "gcs/daemon.hpp"
-#include "mpeg/catalog.hpp"
+#include "mpeg/movie.hpp"
 #include "mpeg/quality.hpp"
 #include "net/network.hpp"
 #include "sim/timer.hpp"
@@ -72,13 +74,29 @@ class VodServer {
   [[nodiscard]] bool serves(std::uint64_t client_id) const {
     return session_index_.contains(client_id);
   }
-  /// Local sessions currently streaming `movie` (monitor / placement use).
-  [[nodiscard]] std::size_t session_count(const std::string& movie) const;
+  /// True while `title` is held: added and not removed since.
+  [[nodiscard]] bool holds(const std::string& title) const {
+    return movies_.contains(title);
+  }
+  /// What the server holds of one movie.
+  struct HeldMovie {
+    const std::shared_ptr<const mpeg::Movie>& movie;
+    /// Client ids of the local sessions streaming it, in open order.
+    const std::vector<std::uint64_t>& sessions;
+    /// Its last re-distribution, or nullptr when none ran yet.
+    const RebalanceSnapshot* last_rebalance;
+  };
+  /// Calls f(const HeldMovie&) for every movie held, in title order.
+  template <class F>
+  void for_each_movie(F&& f) const {
+    for (const auto& [title, ms] : movies_) {
+      f(HeldMovie{ms->movie, ms->local_sessions, ms->rebalanced()});
+    }
+  }
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
   [[nodiscard]] const net::SocketStats& data_socket_stats() const {
     return data_socket_->stats();
   }
-  [[nodiscard]] const mpeg::Catalog& catalog() const { return catalog_; }
   [[nodiscard]] bool halted() const { return halted_; }
   /// Monitor accessor: last computed re-distribution for `movie`, or
   /// nullptr when none ran yet (or the movie is unknown here).
@@ -158,6 +176,10 @@ class VodServer {
       c.asserted = true;
       return c;
     }
+    /// The last re-distribution, or nullptr when none ran yet.
+    [[nodiscard]] const RebalanceSnapshot* rebalanced() const {
+      return last_rebalance.exchange_tag == 0 ? nullptr : &last_rebalance;
+    }
 
     std::shared_ptr<const mpeg::Movie> movie;
     std::unique_ptr<gcs::GroupMember> member;  // movie group
@@ -228,7 +250,6 @@ class VodServer {
   VodParams params_;
   bool halted_ = false;
 
-  mpeg::Catalog catalog_;
   std::unique_ptr<net::Socket> data_socket_;
   /// Reused per-frame encode buffer for send_tick; the socket copies the
   /// span into the network's pooled storage, so this stays warm forever.

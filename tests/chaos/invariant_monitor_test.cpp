@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "../integration/vod_testbed.hpp"
 #include "testing/chaos.hpp"
+#include "violation_stream.hpp"
 
 namespace ftvod::testing {
 namespace {
@@ -51,45 +54,127 @@ TEST(InvariantMonitor, HealthyRunWithCleanCrashStaysViolationFree) {
   EXPECT_TRUE(monitor.ok()) << monitor.report();
 }
 
+// Two kSpread servers serve four clients; a third server joins with a
+// mis-configured kStable policy. All three complete the same table exchange
+// and compute assignments for the same view — but the remainder lands on
+// different servers, violating §5.2's agreement claim.
+struct PolicyDivergence {
+  static vod::VodParams stable() {
+    vod::VodParams p;  // default policy: kSpread
+    p.rebalance_policy = vod::RebalancePolicy::kStable;
+    return p;
+  }
+
+  PolicyDivergence() : dep(/*seed=*/7, net::lan_quality(), vod::VodParams{}) {
+    std::vector<net::NodeId> servers;
+    for (int i = 0; i < 3; ++i) {
+      servers.push_back(dep.add_host("server" + std::to_string(i)));
+    }
+    std::vector<net::NodeId> clients;
+    for (int i = 0; i < 4; ++i) {
+      clients.push_back(dep.add_host("client" + std::to_string(i)));
+    }
+    const auto movie = mpeg::Movie::synthetic("feature", 120.0);
+    for (int i = 0; i < 2; ++i) {
+      dep.start_server(servers[static_cast<std::size_t>(i)])
+          .server->add_movie(movie);
+    }
+    for (net::NodeId c : clients) dep.start_client(c);
+    dep.run_for(sim::sec(2.0));
+    for (auto& cn : dep.clients()) cn->client->watch("feature");
+    dep.run_for(sim::sec(3.0));
+
+    monitor.emplace(dep);
+    monitor->start();
+    // The misconfigured server joins the movie group; the resulting view
+    // change triggers the diverging re-distribution.
+    dep.start_server(servers[2], stable()).server->add_movie(movie);
+    dep.run_for(sim::sec(6.0));
+  }
+
+  vod::Deployment dep;
+  std::optional<InvariantMonitor> monitor;
+};
+
 TEST(InvariantMonitor, CatchesRebalancePolicyDivergence) {
-  // Two kSpread servers serve four clients; a third server joins with a
-  // mis-configured kStable policy. All three complete the same table
-  // exchange and compute assignments for the same view — but the remainder
-  // lands on different servers, violating §5.2's agreement claim. The
-  // monitor must flag the divergence.
-  vod::VodParams spread;  // default policy: kSpread
-  vod::VodParams stable = spread;
-  stable.rebalance_policy = vod::RebalancePolicy::kStable;
+  // The monitor must flag the divergence.
+  PolicyDivergence run;
+  EXPECT_FALSE(run.monitor->ok());
+  EXPECT_TRUE(any_violation_contains(*run.monitor, "disagree"))
+      << run.monitor->report();
+}
 
-  vod::Deployment dep(/*seed=*/7, net::lan_quality(), spread);
-  std::vector<net::NodeId> servers;
-  for (int i = 0; i < 3; ++i) {
-    servers.push_back(dep.add_host("server" + std::to_string(i)));
-  }
-  std::vector<net::NodeId> clients;
-  for (int i = 0; i < 4; ++i) {
-    clients.push_back(dep.add_host("client" + std::to_string(i)));
-  }
-  const auto movie = mpeg::Movie::synthetic("feature", 120.0);
-  for (int i = 0; i < 2; ++i) {
-    dep.start_server(servers[static_cast<std::size_t>(i)]).server->add_movie(
-        movie);
-  }
-  for (net::NodeId c : clients) dep.start_client(c);
-  dep.run_for(sim::sec(2.0));
-  for (auto& cn : dep.clients()) cn->client->watch("feature");
-  dep.run_for(sim::sec(3.0));
-
-  InvariantMonitor monitor(dep);
-  monitor.start();
-  // The misconfigured server joins the movie group; the resulting view
-  // change triggers the diverging re-distribution.
-  dep.start_server(servers[2], stable).server->add_movie(movie);
-  dep.run_for(sim::sec(6.0));
-
-  EXPECT_FALSE(monitor.ok());
-  EXPECT_TRUE(any_violation_contains(monitor, "disagree"))
-      << monitor.report();
+TEST(InvariantMonitor, PolicyDivergenceStreamIsPinned) {
+  // Every violation of the divergence run, in order: a monitor change
+  // meant to be invisible must keep each one's time and text.
+  PolicyDivergence run;
+  EXPECT_EQ(run.monitor->total_violations(), 118u);
+  EXPECT_EQ(run.monitor->checks_run(), 60u);
+  EXPECT_EQ(violation_stream(run.dep, *run.monitor), R"(5200000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5200000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5300000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5300000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5400000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5400000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5500000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5500000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5600000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5600000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5700000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5700000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5800000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5800000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5900000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+5900000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6000000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6000000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6100000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6100000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6200000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6200000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6300000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6300000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6400000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6400000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6500000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6500000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6600000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6600000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6700000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6700000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6800000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6800000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6900000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+6900000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7000000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7000000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7100000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7100000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7200000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7200000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7300000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7300000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7400000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7400000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7500000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7500000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7600000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7600000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7700000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7700000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7800000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7800000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7900000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+7900000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8000000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8000000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8100000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8100000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8200000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8200000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8300000 movie 'feature': servers n0 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+8300000 movie 'feature': servers n1 and n2 disagree on the round of exchange tag 4194305 (tables of 4 vs 4 clients)
+)");
 }
 
 TEST(InvariantMonitor, CatchesUnrepairedStall) {
@@ -128,7 +213,6 @@ struct SoloTitleBed {
   static InvariantOptions options() {
     InvariantOptions opts;
     opts.replication_floor = 2;
-    opts.under_replicated_grace = sim::sec(6.0);
     return opts;
   }
   VodTestBed bed;

@@ -21,13 +21,15 @@
 #include "testing/chaos.hpp"
 #include "testing/invariants.hpp"
 #include "util/log.hpp"
+#include "violation_stream.hpp"
 #include "vod/placement.hpp"
 #include "workload/session_workload.hpp"
 
 namespace ftvod::testing {
 namespace {
 
-class ChaosSoak : public ::testing::TestWithParam<std::tuple<int, bool>> {
+template <class Param>
+class Soak : public ::testing::TestWithParam<Param> {
  public:
   static void SetUpTestSuite() {
     if (const char* lvl = std::getenv("FTVOD_LOG")) {
@@ -38,7 +40,27 @@ class ChaosSoak : public ::testing::TestWithParam<std::tuple<int, bool>> {
   }
 };
 
-void run_soak(std::uint64_t seed, bool wan, const ChaosOptions& copts) {
+/// What a soak run's monitor saw. The run's other expectations do not
+/// depend on the monitor's options, so the run checks them itself.
+struct MonitorVerdict {
+  std::uint64_t violations = 0;
+  std::uint64_t checks = 0;
+  std::string stream;   // violation_stream()
+  std::string failure;  // reproduction context and report, for messages
+};
+
+MonitorVerdict verdict_of(vod::Deployment& dep,
+                          const InvariantMonitor& monitor,
+                          const std::string& context) {
+  return {monitor.total_violations(), monitor.checks_run(),
+          violation_stream(dep, monitor), context + monitor.report()};
+}
+
+using ChaosSoak = Soak<std::tuple<int, bool>>;
+
+MonitorVerdict run_soak(std::uint64_t seed, bool wan,
+                        const ChaosOptions& copts,
+                        const InvariantOptions& iopts = {}) {
   vod::Deployment dep(seed, wan ? net::wan_quality() : net::lan_quality());
   std::vector<net::NodeId> server_nodes;
   std::vector<net::NodeId> client_nodes;
@@ -59,20 +81,16 @@ void run_soak(std::uint64_t seed, bool wan, const ChaosOptions& copts) {
 
   const ChaosPlan plan =
       ChaosPlan::generate(seed, copts, server_nodes, client_nodes);
-  ASSERT_FALSE(plan.events().empty());
+  EXPECT_FALSE(plan.events().empty());
   ChaosInjector injector(dep, plan);
   injector.arm();
-  InvariantMonitor monitor(dep);
+  InvariantMonitor monitor(dep, iopts);
   monitor.start();
 
   // Past the fault window plus every trailing repair, with settle time.
   dep.run_until(sim::sec(80.0));
 
   EXPECT_EQ(injector.events_applied(), plan.events().size());
-  EXPECT_TRUE(monitor.ok())
-      << (wan ? "WAN" : "LAN") << " soak violated invariants; reproduce "
-      << "with seed " << seed << "\n"
-      << plan.describe() << monitor.report();
   EXPECT_GT(monitor.checks_run(), 500u);
 
   // After the last repair the service must be fully healed: every client
@@ -84,13 +102,19 @@ void run_soak(std::uint64_t seed, bool wan, const ChaosOptions& copts) {
         << " starved; seed=" << seed << "\n"
         << plan.describe() << monitor.report();
   }
+  return verdict_of(dep, monitor,
+                    std::string(wan ? "WAN" : "LAN") +
+                        " soak violated invariants; reproduce with seed " +
+                        std::to_string(seed) + "\n" + plan.describe());
 }
 
 TEST_P(ChaosSoak, InvariantsHoldUnderMixedFaults) {
   const auto [seed_int, wan] = GetParam();
   // Default options: faults drawn in [8 s, 60 s), at least one server
   // always left healthy. Repairs may land a few seconds past the window.
-  run_soak(static_cast<std::uint64_t>(seed_int), wan, ChaosOptions{});
+  const MonitorVerdict v =
+      run_soak(static_cast<std::uint64_t>(seed_int), wan, ChaosOptions{});
+  EXPECT_EQ(v.violations, 0u) << v.failure;
 }
 
 using CorruptChaosSoak = ChaosSoak;
@@ -104,7 +128,9 @@ TEST_P(CorruptChaosSoak, InvariantsHoldUnderCorruptionAndBursts) {
   // sweep, no extra allowance.
   ChaosOptions copts;
   copts.weight_corrupt = 1.5;
-  run_soak(static_cast<std::uint64_t>(seed_int), wan, copts);
+  const MonitorVerdict v =
+      run_soak(static_cast<std::uint64_t>(seed_int), wan, copts);
+  EXPECT_EQ(v.violations, 0u) << v.failure;
 }
 
 // ---------------------------------------------------------------------------
@@ -117,19 +143,13 @@ TEST_P(CorruptChaosSoak, InvariantsHoldUnderCorruptionAndBursts) {
 // monitor additionally enforces the replication floor for every watched
 // title.
 
-class CatalogChurnSoak : public ::testing::TestWithParam<int> {
- public:
-  static void SetUpTestSuite() {
-    if (const char* lvl = std::getenv("FTVOD_LOG")) {
-      const std::string s(lvl);
-      if (s == "debug") util::Log::set_level(util::LogLevel::kDebug);
-      if (s == "info") util::Log::set_level(util::LogLevel::kInfo);
-    }
-  }
-};
+using CatalogChurnSoak = Soak<int>;
 
-TEST_P(CatalogChurnSoak, PlacementHoldsInvariantsUnderChurnAndCrash) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
+/// The placement controller's floor, which the monitor enforces too.
+constexpr std::size_t kPlacementFloor = 2;
+
+MonitorVerdict run_churn_soak(std::uint64_t seed,
+                              const InvariantOptions& iopts) {
   vod::Deployment dep(seed);
 
   std::vector<net::NodeId> server_nodes;
@@ -153,7 +173,7 @@ TEST_P(CatalogChurnSoak, PlacementHoldsInvariantsUnderChurnAndCrash) {
   const auto catalog = mpeg::GeneratedCatalog::generate(seed, cspec);
 
   vod::PlacementConfig pcfg;
-  pcfg.replication_floor = 2;
+  pcfg.replication_floor = kPlacementFloor;
   pcfg.viewers_per_replica = 4;
   pcfg.control_period = sim::msec(500);
   vod::PlacementController controller(dep, pcfg);
@@ -199,17 +219,12 @@ TEST_P(CatalogChurnSoak, PlacementHoldsInvariantsUnderChurnAndCrash) {
       });
   injector.arm();
 
-  InvariantOptions iopts;
-  iopts.replication_floor = pcfg.replication_floor;
   InvariantMonitor monitor(dep, iopts);
   monitor.start();
 
   dep.run_until(sim::sec(70.0));
 
   EXPECT_EQ(injector.events_applied(), plan.events().size());
-  EXPECT_TRUE(monitor.ok())
-      << "churn soak violated invariants; seed " << seed << "\n"
-      << monitor.report();
   EXPECT_GT(monitor.checks_run(), 500u);
   // The workload actually churned and the controller actually worked.
   EXPECT_GT(workload.stats().arrivals, 40u);
@@ -223,6 +238,132 @@ TEST_P(CatalogChurnSoak, PlacementHoldsInvariantsUnderChurnAndCrash) {
   // the crowd, demanded more than the floor's worth of replicas.
   const std::string& hot = catalog.entry(0).movie->name();
   EXPECT_GE(controller.model().replicas(hot).size(), 2u);
+  return verdict_of(dep, monitor,
+                    "churn soak violated invariants; seed " +
+                        std::to_string(seed) + "\n");
+}
+
+TEST_P(CatalogChurnSoak, PlacementHoldsInvariantsUnderChurnAndCrash) {
+  const MonitorVerdict v =
+      run_churn_soak(static_cast<std::uint64_t>(GetParam()),
+                     {.replication_floor = kPlacementFloor});
+  EXPECT_EQ(v.violations, 0u) << v.failure;
+}
+
+// ---------------------------------------------------------------------------
+// The monitor's violation stream, pinned on two sweep runs that violate
+// under a stall bound (and, in the churn run, a floor) tighter than the
+// system keeps. A monitor change meant to be invisible must keep every
+// violation: its time, its text and its order.
+
+TEST(MonitorStreamPin, ChaosSoakLanSeed5UnderA300msStallBound) {
+  const MonitorVerdict v = run_soak(5, /*wan=*/false, ChaosOptions{},
+                                    {.stall_bound = sim::msec(300)});
+  EXPECT_EQ(v.violations, 30u);
+  EXPECT_EQ(v.checks, 750u);
+  EXPECT_EQ(v.stream, R"(11100000 client #1 stalled at frame 218 for more than 0.3s despite a reachable replica
+11500000 client #1 stalled at frame 218 for more than 0.3s despite a reachable replica
+11900000 client #1 stalled at frame 218 for more than 0.3s despite a reachable replica
+23300000 client #1 stalled at frame 542 for more than 0.3s despite a reachable replica
+23700000 client #1 stalled at frame 542 for more than 0.3s despite a reachable replica
+23900000 client #0 stalled at frame 640 for more than 0.3s despite a reachable replica
+24000000 client #2 stalled at frame 651 for more than 0.3s despite a reachable replica
+24100000 client #1 stalled at frame 542 for more than 0.3s despite a reachable replica
+24300000 client #0 stalled at frame 640 for more than 0.3s despite a reachable replica
+24400000 client #2 stalled at frame 651 for more than 0.3s despite a reachable replica
+24500000 client #1 stalled at frame 542 for more than 0.3s despite a reachable replica
+24700000 client #0 stalled at frame 640 for more than 0.3s despite a reachable replica
+24800000 client #2 stalled at frame 651 for more than 0.3s despite a reachable replica
+24900000 client #1 stalled at frame 542 for more than 0.3s despite a reachable replica
+25100000 client #0 stalled at frame 640 for more than 0.3s despite a reachable replica
+49600000 client #0 stalled at frame 1373 for more than 0.3s despite a reachable replica
+49600000 client #1 stalled at frame 1273 for more than 0.3s despite a reachable replica
+50000000 client #0 stalled at frame 1373 for more than 0.3s despite a reachable replica
+50000000 client #1 stalled at frame 1273 for more than 0.3s despite a reachable replica
+50400000 client #0 stalled at frame 1373 for more than 0.3s despite a reachable replica
+50400000 client #1 stalled at frame 1273 for more than 0.3s despite a reachable replica
+50800000 client #0 stalled at frame 1373 for more than 0.3s despite a reachable replica
+50800000 client #1 stalled at frame 1273 for more than 0.3s despite a reachable replica
+57500000 client #1 stalled at frame 1434 for more than 0.3s despite a reachable replica
+57900000 client #1 stalled at frame 1434 for more than 0.3s despite a reachable replica
+58300000 client #1 stalled at frame 1434 for more than 0.3s despite a reachable replica
+58700000 client #1 stalled at frame 1434 for more than 0.3s despite a reachable replica
+59100000 client #1 stalled at frame 1434 for more than 0.3s despite a reachable replica
+59500000 client #1 stalled at frame 1434 for more than 0.3s despite a reachable replica
+59900000 client #1 stalled at frame 1434 for more than 0.3s despite a reachable replica
+)");
+}
+
+TEST(MonitorStreamPin, CatalogChurnSeed36UnderFloor3And300msStallBound) {
+  const MonitorVerdict v = run_churn_soak(
+      36, {.stall_bound = sim::msec(300), .replication_floor = 3});
+  EXPECT_EQ(v.violations, 80u);
+  EXPECT_EQ(v.checks, 680u);
+  EXPECT_EQ(v.stream, R"(9100000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+9300000 title 'm000' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+12300000 title 'm006' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+14500000 title 'm003' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+15200000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+15400000 title 'm000' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+17700000 title 'm001' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+19400000 title 'm009' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+20600000 title 'm003' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+21300000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+21300000 title 'm011' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+21500000 title 'm000' with 3 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+23800000 title 'm001' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+24400000 title 'm013' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+25400000 title 'm010' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+25500000 client #2 stalled at frame 1 for more than 0.3s despite a reachable replica
+25500000 title 'm009' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+25700000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+26100000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+26500000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+26700000 title 'm003' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+26900000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+27300000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+27400000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+27400000 title 'm011' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+27600000 title 'm000' with 6 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+27700000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+28100000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+28500000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+28900000 client #3 stalled at frame 18 for more than 0.3s despite a reachable replica
+29900000 title 'm001' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+30500000 title 'm013' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+30700000 title 'm017' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+31500000 title 'm010' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+31600000 title 'm009' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+32800000 title 'm003' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+33500000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+33500000 title 'm011' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+36600000 title 'm013' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+36800000 title 'm017' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+37300000 title 'm005' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+37600000 title 'm010' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+37700000 title 'm009' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+38900000 title 'm003' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+39600000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+39600000 title 'm011' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+42700000 title 'm013' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+43700000 title 'm010' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+43800000 title 'm009' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+45000000 title 'm003' with 3 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+45700000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+45700000 title 'm011' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+48800000 title 'm013' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+49800000 title 'm010' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+49900000 title 'm009' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+50100000 title 'm012' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+51100000 title 'm003' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+51800000 title 'm002' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+51800000 title 'm011' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+53900000 title 'm005' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+54400000 title 'm014' with 2 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+54900000 title 'm013' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+55900000 title 'm010' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+56200000 title 'm012' with 1 watching clients under-replicated: 2 < 3 healthy replicas for more than 6s
+)");
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CatalogChurnSoak, ::testing::Range(1, 41),

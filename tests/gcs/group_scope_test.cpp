@@ -221,7 +221,7 @@ TEST(GcsGroupScope, NonHostingDaemonReceivesNoGroupTraffic) {
   // Compare n3's datagrams over two equal windows whose edges sit midway
   // between heartbeat arrivals: one idle, one in which g carries 100
   // messages. Heartbeats are all n3 may receive in either.
-  const sim::Duration period = h.config().heartbeat_interval;
+  const sim::Duration period = gcs::kHeartbeatInterval;
   h.run_for(period - h.scheduler().now() % period + period / 2);
   const sim::Duration window = 20 * period;
   const auto received = [&] {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "vod/service.hpp"
 
@@ -85,5 +86,25 @@ class VodTestBed {
   std::vector<net::NodeId> client_hosts_;
   std::shared_ptr<const mpeg::Movie> movie_;
 };
+
+/// The movies `server` holds, in title order.
+inline std::vector<std::shared_ptr<const mpeg::Movie>> held_movies(
+    const VodServer& server) {
+  std::vector<std::shared_ptr<const mpeg::Movie>> out;
+  server.for_each_movie(
+      [&](const VodServer::HeldMovie& held) { out.push_back(held.movie); });
+  return out;
+}
+
+/// The local sessions of `server` streaming `title` (0 when it does not
+/// hold the title).
+inline std::size_t sessions_streaming(const VodServer& server,
+                                      const std::string& title) {
+  std::size_t n = 0;
+  server.for_each_movie([&](const VodServer::HeldMovie& held) {
+    if (held.movie->name() == title) n = held.sessions.size();
+  });
+  return n;
+}
 
 }  // namespace ftvod::vod::testing

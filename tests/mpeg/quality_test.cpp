@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mpeg/catalog.hpp"
-
 namespace ftvod::mpeg {
 namespace {
 
@@ -81,20 +79,6 @@ TEST(Quality, DeterministicAcrossInstances) {
   for (std::uint64_t i = 0; i < 240; ++i) {
     EXPECT_EQ(f1.should_send(i), f2.should_send(i));
   }
-}
-
-TEST(Catalog, AddFindRemove) {
-  Catalog c;
-  EXPECT_FALSE(c.contains("x"));
-  c.add(Movie::synthetic("x", 5.0));
-  c.add(Movie::synthetic("y", 5.0));
-  EXPECT_TRUE(c.contains("x"));
-  ASSERT_NE(c.find("x"), nullptr);
-  EXPECT_EQ(c.find("x")->name(), "x");
-  EXPECT_EQ(c.titles(), (std::vector<std::string>{"x", "y"}));
-  c.remove("x");
-  EXPECT_EQ(c.find("x"), nullptr);
-  EXPECT_EQ(c.size(), 1u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@ namespace ftvod::vod {
 namespace {
 
 using testing::VodTestBed;
+using testing::sessions_streaming;
 
 TEST(Client, StatsBeforeConnectionAreEmpty) {
   VodTestBed bed(1, 1);
@@ -242,8 +243,8 @@ TEST(Client, RewatchStartsFromAFullyFreshSession) {
   const auto pos = bed.client().buffers()->last_displayed();
   EXPECT_GT(pos, 0);
   EXPECT_LT(pos, 400);
-  EXPECT_EQ(bed.server(0).session_count("indie"), 1u);
-  EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
+  EXPECT_EQ(sessions_streaming(bed.server(0), "indie"), 1u);
+  EXPECT_EQ(sessions_streaming(bed.server(0), "feature"), 0u);
 }
 
 TEST(Client, WatchWhileWatchingSwitchesTitlesCleanly) {
@@ -262,8 +263,8 @@ TEST(Client, WatchWhileWatchingSwitchesTitlesCleanly) {
   EXPECT_TRUE(bed.client().connected());
   EXPECT_TRUE(bed.client().playing());
   EXPECT_EQ(bed.client().movie(), "indie");
-  EXPECT_EQ(bed.server(0).session_count("indie"), 1u);
-  EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
+  EXPECT_EQ(sessions_streaming(bed.server(0), "indie"), 1u);
+  EXPECT_EQ(sessions_streaming(bed.server(0), "feature"), 0u);
 }
 
 TEST(Client, RewatchDuringOpenBackoffDropsTheOldRetry) {
@@ -298,7 +299,7 @@ TEST(Client, RewatchDuringPlaybackDropsTheOldDeadline) {
   EXPECT_EQ(bed.client().control_stats().deadline_wakeups, wakeups);
   EXPECT_FALSE(bed.client().connected());
   EXPECT_TRUE(bed.client().prefill_watchdog_running());
-  EXPECT_EQ(bed.server(0).session_count("feature"), 0u);
+  EXPECT_EQ(sessions_streaming(bed.server(0), "feature"), 0u);
 }
 
 TEST(Client, HostCrashKeepsTheSessionButStopsItsTimers) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "../integration/vod_testbed.hpp"
 #include "testing/chaos.hpp"
 #include "util/rng.hpp"
 #include "vod/placement.hpp"
@@ -283,7 +284,7 @@ TEST(PlacementController, RestartedServerGetsItsCatalogBack) {
   dep.run_for(sim::sec(2.0));
   Deployment::ServerNode* sn = dep.restart_server(victim);
   ASSERT_NE(sn, nullptr);
-  ASSERT_TRUE(sn->server->catalog().titles().empty());  // fresh reboot
+  ASSERT_TRUE(testing::held_movies(*sn->server).empty());  // fresh reboot
 
   const std::uint64_t before = ctl.stats().reregistrations;
   ctl.handle_restart(victim);
@@ -292,7 +293,7 @@ TEST(PlacementController, RestartedServerGetsItsCatalogBack) {
     const std::string title = "m" + std::to_string(i);
     const auto& want = ctl.model().replicas(title);
     if (std::find(want.begin(), want.end(), victim) != want.end()) {
-      EXPECT_TRUE(sn->server->catalog().contains(title)) << title;
+      EXPECT_TRUE(sn->server->holds(title)) << title;
     }
   }
   // And the stream still works end to end after the reboot.
@@ -325,7 +326,7 @@ TEST(PlacementController, PeriodicTickRepairsRestartWithoutDelegate) {
   dep.run_for(sim::sec(2.0));  // a few control periods
   if (std::binary_search(ctl.model().replicas("solo").begin(),
                          ctl.model().replicas("solo").end(), victim)) {
-    EXPECT_TRUE(sn->server->catalog().contains("solo"));
+    EXPECT_TRUE(sn->server->holds("solo"));
   } else {
     // The model may have re-homed the title while the victim was down; it
     // must then live on enough *other* servers instead.

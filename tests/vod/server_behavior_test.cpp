@@ -11,6 +11,7 @@ namespace ftvod::vod {
 namespace {
 
 using testing::VodTestBed;
+using testing::held_movies;
 
 TEST(ServerBehavior, ExactlyOneServerOpensASession) {
   VodTestBed bed(3, 1);
@@ -128,11 +129,19 @@ TEST(ServerBehavior, ReusedSessionSlotServesOnlyTheNewClient) {
 
 TEST(ServerBehavior, CatalogReflectsAddAndRemove) {
   VodTestBed bed(1, 1);
-  EXPECT_TRUE(bed.server(0).catalog().contains("feature"));
-  bed.server(0).add_movie(mpeg::Movie::synthetic("extra", 30.0));
-  EXPECT_EQ(bed.server(0).catalog().size(), 2u);
-  bed.server(0).remove_movie("extra");
-  EXPECT_FALSE(bed.server(0).catalog().contains("extra"));
+  VodServer& server = bed.server(0);
+  EXPECT_TRUE(server.holds("feature"));
+  EXPECT_FALSE(server.holds("extra"));
+  const auto extra = mpeg::Movie::synthetic("extra", 30.0);
+  const auto bonus = mpeg::Movie::synthetic("bonus", 30.0);
+  server.add_movie(extra);
+  server.add_movie(bonus);
+  EXPECT_TRUE(server.holds("extra"));
+  // Each title finds the very movie added under it, in title order.
+  EXPECT_EQ(held_movies(server), (std::vector{bonus, extra, bed.movie()}));
+  server.remove_movie("extra");
+  EXPECT_FALSE(server.holds("extra"));
+  EXPECT_EQ(held_movies(server), (std::vector{bonus, bed.movie()}));
 }
 
 TEST(ServerBehavior, MovieAddedOnTheCoordinatorCompletesARoundEverywhere) {
